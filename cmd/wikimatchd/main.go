@@ -1,8 +1,8 @@
 // Command wikimatchd serves WikiMatch over HTTP: it generates (or loads)
 // a multilingual corpus, opens one shared matching session, and exposes
 // matching, streaming and corpus inspection through wire protocol v1 —
-// typed POST JSON endpoints under /v1/ with structured error envelopes —
-// plus the legacy GET API as compatibility shims. The session's artifact
+// typed POST JSON endpoints under /v1/ with structured error envelopes.
+// The session's artifact
 // cache makes repeated requests cheap — the first match for a pair
 // builds the dictionary and the per-type LSI models, every later request
 // reuses them.
@@ -60,10 +60,6 @@
 //	POST /v1/invalidate   drop cached artifacts ({"lang":"pt"})
 //	GET  /v1/healthz      liveness: uptime, snapshot age, cache stats
 //	GET  /v1/metrics      middleware counters
-//
-// The legacy GET endpoints (/match, /match/{type}, /match/stream,
-// /matchall, /matchall/stream, /corpus/stats, /healthz, POST
-// /session/invalidate) remain as shims over the same handlers.
 //
 // Try:
 //

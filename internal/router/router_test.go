@@ -599,6 +599,16 @@ func TestRouterStatelessContract(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown endpoint: %d", resp.StatusCode)
 	}
+	// Paths outside /v1 get the same structured envelope a replica sends.
+	resp, err = http.Get(f.rtSrv.URL + "/match?pair=pt-en")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || !bytes.Contains(raw, []byte(`"code":"not_found"`)) {
+		t.Errorf("non-v1 path via router: %d %s", resp.StatusCode, raw)
+	}
 	status, _ = post(t, f.rtSrv.URL+"/v1/stream", `{"pair":"pt-en","type":"filme"}`)
 	if status != http.StatusBadRequest {
 		t.Errorf("single-type stream via router: %d", status)

@@ -409,7 +409,8 @@ func TestPanicAfterWriteAborts(t *testing.T) {
 }
 
 // TestRouteLabelBounded: junk paths share the "other" bucket instead of
-// poisoning the per-route table.
+// poisoning the per-route table, and every registered /v1 route gets a
+// label of its own.
 func TestRouteLabelBounded(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNotFound) })
 	h, metrics := WrapMiddleware(inner)
@@ -423,16 +424,24 @@ func TestRouteLabelBounded(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Get(srv.URL + "/match/filme")
-	if err != nil {
-		t.Fatal(err)
+	for _, rt := range v1Routes {
+		req, err := http.NewRequest(rt.method, srv.URL+rt.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 	}
-	resp.Body.Close()
 	m := metrics()
 	if m.ByRoute["other"] != 100 {
 		t.Errorf("other bucket = %d, want 100: %v", m.ByRoute["other"], m.ByRoute)
 	}
-	if m.ByRoute["GET /match/{type}"] != 1 {
-		t.Errorf("per-type route not collapsed: %v", m.ByRoute)
+	for _, rt := range v1Routes {
+		if label := rt.method + " " + rt.path; m.ByRoute[label] != 1 {
+			t.Errorf("route %s counted %d times under its label, want 1: %v", label, m.ByRoute[label], m.ByRoute)
+		}
 	}
 }

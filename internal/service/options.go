@@ -39,25 +39,6 @@ func WithSeed(seed int64) Option {
 	return func(c *core.Config) { c.Seed = seed }
 }
 
-// WithExactSVD forces the exact dense Jacobi SVD inside LSI — the
-// validation switch for asserting the fast sparse path changes nothing.
-func WithExactSVD(on bool) Option {
-	return func(c *core.Config) { c.ExactSVD = on }
-}
-
-// WithCandidates sets the per-attribute shortlist width of the pruned
-// scoring path: 0 keeps core.DefaultCandidates, -1 disables pruning.
-// A match-time knob — results are identical at any width.
-func WithCandidates(k int) Option {
-	return func(c *core.Config) { c.Candidates = k }
-}
-
-// WithExactScore forces the exhaustive reference scoring path, the
-// validation switch for asserting pruning changes nothing.
-func WithExactScore(on bool) Option {
-	return func(c *core.Config) { c.ExactScore = on }
-}
-
 // WithoutDictionary disables dictionary translation inside vsim (the
 // paper's extra ablation); the session then skips building per-pair
 // dictionaries entirely.

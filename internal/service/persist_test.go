@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/store"
 	"repro/internal/wiki"
 )
@@ -155,10 +157,12 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	exactSVD := core.DefaultConfig()
+	exactSVD.ExactSVD = true
 	for name, opt := range map[string]Option{
 		"LSIRank":      WithLSIRank(20),
 		"NoDictionary": WithoutDictionary(),
-		"ExactSVD":     WithExactSVD(true),
+		"ExactSVD":     WithConfig(exactSVD),
 	} {
 		_, err := Restore(c, bytes.NewReader(buf.Bytes()), opt)
 		var cm *store.ConfigMismatchError
@@ -185,7 +189,7 @@ func TestRestoreConfigMismatch(t *testing.T) {
 }
 
 // TestRestoredStatsOverHTTP asserts the warm-start counters are
-// observable through /corpus/stats on a server built over a restored
+// observable through /v1/corpus on a server built over a restored
 // session.
 func TestRestoredStatsOverHTTP(t *testing.T) {
 	c := smallCorpus(t)
@@ -205,8 +209,8 @@ func TestRestoredStatsOverHTTP(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(restored))
 	defer srv.Close()
 
-	var stats StatsResponseJSON
-	getJSON(t, srv.URL+"/corpus/stats", http.StatusOK, &stats)
+	var stats protocol.StatsResponse
+	getJSON(t, srv.URL+"/v1/corpus", http.StatusOK, &stats)
 	if stats.Cache.RestoredPairs != 1 || stats.Cache.RestoredTypes == 0 {
 		t.Errorf("restored counters not exposed: %+v", stats.Cache)
 	}

@@ -328,10 +328,10 @@ func TestMatchStreamAbandoned(t *testing.T) {
 func TestSessionOptions(t *testing.T) {
 	s := New(smallCorpus(t),
 		WithTSim(0.7), WithTLSI(0.2), WithTEg(0.3), WithLSIRank(5),
-		WithSeed(42), WithExactSVD(true))
+		WithSeed(42))
 	cfg := s.Config()
 	if cfg.TSim != 0.7 || cfg.TLSI != 0.2 || cfg.TEg != 0.3 ||
-		cfg.LSIRank != 5 || cfg.Seed != 42 || !cfg.ExactSVD {
+		cfg.LSIRank != 5 || cfg.Seed != 42 {
 		t.Errorf("options not applied: %+v", cfg)
 	}
 	base := core.DefaultConfig()

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -27,6 +29,9 @@ import (
 // against a purpose-built stack (a held limiter, a panicking handler)
 // via the handler override — same golden machinery, same envelope
 // contract.
+var updateGolden = flag.Bool("update", false, "rewrite the golden files from live responses")
+
+// v1GoldenCase drives one recorded request.
 type v1GoldenCase struct {
 	name       string
 	method     string
@@ -86,15 +91,15 @@ func v1GoldenCases() []v1GoldenCase {
 		// not_found (404).
 		{name: "v1_error_unknown_type", method: post, path: "/v1/match", body: `{"pair":"pt-en","type":"no-such-type"}`, wantStatus: 404},
 		{name: "v1_error_unknown_route", method: get, path: "/v1/nope", wantStatus: 404},
+		{name: "v1_error_removed_route", method: get, path: "/match?pair=pt-en", wantStatus: 404},
 		{name: "v1_error_delta_remove_missing", method: post, path: "/v1/corpus/delta",
 			body: `{"removes":[{"lang":"pt","title":"Não Existe"}]}`, wantStatus: 404},
 		{name: "v1_error_audit_unknown_hub", method: post, path: "/v1/audit", body: `{"hub":"de"}`, wantStatus: 404},
 
-		// method_not_allowed (405) — including the mutating-over-GET fix
-		// on the legacy invalidate shim.
+		// method_not_allowed (405) — mutating over GET included.
 		{name: "v1_error_method_match", method: get, path: "/v1/match", wantStatus: 405},
 		{name: "v1_error_method_corpus", method: post, path: "/v1/corpus", body: `{}`, wantStatus: 405},
-		{name: "legacy_invalidate_get", method: get, path: "/session/invalidate", wantStatus: 405},
+		{name: "v1_error_method_invalidate", method: get, path: "/v1/invalidate", wantStatus: 405},
 
 		// payload_too_large (413).
 		{
@@ -191,7 +196,7 @@ func TestV1Golden(t *testing.T) {
 
 			var normalized []byte
 			if gc.ndjson {
-				normalized = normalizeV1NDJSON(t, raw)
+				normalized = normalizeNDJSON(t, raw)
 			} else {
 				normalized = normalizeJSON(t, raw)
 			}
@@ -215,10 +220,10 @@ func TestV1Golden(t *testing.T) {
 	}
 }
 
-// normalizeV1NDJSON is normalizeNDJSON plus scrubbing of the per-line
-// "done" counter: v1 stream lines carry completion-order positions that
-// are scheduling-dependent once workers run in parallel.
-func normalizeV1NDJSON(t *testing.T, body []byte) []byte {
+// normalizeNDJSON scrubs each line and sorts the lines canonically —
+// streams emit in completion order, which is scheduling-dependent. The
+// per-line "done" counter is scrubbed for the same reason.
+func normalizeNDJSON(t *testing.T, body []byte) []byte {
 	t.Helper()
 	var lines []string
 	sc := bufio.NewScanner(bytes.NewReader(body))
@@ -246,4 +251,77 @@ func normalizeV1NDJSON(t *testing.T, body []byte) []byte {
 	}
 	sort.Slice(lines, func(i, j int) bool { return ndjsonKey(lines[i]) < ndjsonKey(lines[j]) })
 	return []byte(strings.Join(lines, "\n") + "\n")
+}
+
+// normalizeJSON decodes, scrubs volatile fields, and re-encodes with
+// stable indentation.
+func normalizeJSON(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("invalid JSON body: %v\n%s", err, clip(body))
+	}
+	scrubVolatile(v)
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, '\n')
+}
+
+// ndjsonKey orders stream lines deterministically: final lines last,
+// pair/type progress lines by their identifying name.
+func ndjsonKey(line string) string {
+	var v map[string]any
+	if err := json.Unmarshal([]byte(line), &v); err != nil {
+		return "z" + line
+	}
+	for _, finalKey := range []string{"finalMatch", "finalAll", "finalAudit"} {
+		if _, ok := v[finalKey]; ok {
+			return "y:final"
+		}
+	}
+	if p, ok := v["pair"].(map[string]any); ok {
+		return fmt.Sprintf("p:%v", p["pair"])
+	}
+	if f, ok := v["finding"].(map[string]any); ok {
+		return fmt.Sprintf("x:%v:%v:%v", f["entity"], f["cluster"], f["kind"])
+	}
+	if tr, ok := v["type"].(map[string]any); ok {
+		return fmt.Sprintf("t:%v", tr["typeA"])
+	}
+	return "z" + line
+}
+
+// scrubVolatile zeroes timing fields in place, recursively. Everything
+// else — correspondences, confidences, cluster shapes, cache counters —
+// is deterministic for a fixed request against a fresh session and is
+// deliberately kept under golden control.
+func scrubVolatile(v any) {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, val := range x {
+			switch k {
+			case "elapsedMs", "uptimeSeconds", "ageSeconds":
+				x[k] = 0.0
+				continue
+			case "createdAt":
+				x[k] = "scrubbed"
+				continue
+			}
+			scrubVolatile(val)
+		}
+	case []any:
+		for _, val := range x {
+			scrubVolatile(val)
+		}
+	}
+}
+
+func clip(b []byte) []byte {
+	const max = 2000
+	if len(b) > max {
+		return append(append([]byte(nil), b[:max]...), []byte("…")...)
+	}
+	return b
 }

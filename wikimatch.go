@@ -285,14 +285,6 @@ var (
 	WithLSIRank = service.WithLSIRank
 	// WithSeed sets the seed driving the RandomOrder ablation shuffle.
 	WithSeed = service.WithSeed
-	// WithExactSVD forces the exact dense Jacobi SVD inside LSI.
-	WithExactSVD = service.WithExactSVD
-	// WithCandidates sets the pruned scoring path's shortlist width
-	// (0 = default, -1 disables pruning); results are identical at any
-	// width.
-	WithCandidates = service.WithCandidates
-	// WithExactScore forces the exhaustive reference scoring path.
-	WithExactScore = service.WithExactScore
 	// WithoutDictionary disables dictionary translation inside vsim.
 	WithoutDictionary = service.WithoutDictionary
 )
@@ -535,10 +527,9 @@ var (
 
 // NewHTTPHandler builds the wikimatchd HTTP API over a session: the
 // typed /v1/ protocol (POST JSON + NDJSON streaming, structured
-// errors), the legacy GET endpoints as compatibility shims, and the
-// middleware stack (request IDs, access logging, per-request timeouts,
-// load shedding, panic recovery, /v1/metrics counters) around both. See
-// cmd/wikimatchd.
+// errors) inside the middleware stack (request IDs, access logging,
+// per-request timeouts, load shedding, panic recovery, /v1/metrics
+// counters). See cmd/wikimatchd.
 func NewHTTPHandler(s *Session, opts ...HTTPHandlerOption) http.Handler {
 	return service.NewHandler(s, opts...)
 }
@@ -589,7 +580,7 @@ func ShardOwned(index, count int) func(LanguagePair) bool { return router.Owned(
 
 // ParseLanguagePair parses a "pt-en"-style pair string ("vn-en" is an
 // alias for Vietnamese–English).
-func ParseLanguagePair(s string) (LanguagePair, error) { return service.ParsePair(s) }
+func ParseLanguagePair(s string) (LanguagePair, error) { return protocol.ParsePair(s) }
 
 // MatchEntityTypes identifies equivalent entity types across a pair via
 // cross-language-link voting (Section 3.1).
