@@ -379,9 +379,9 @@ func BenchmarkWikiMatchFilmType(b *testing.B) {
 
 // BenchmarkSessionWarmVsCold is the acceptance gate for the session's
 // artifact cache: "cold" pays the full pipeline (dictionary, TypeData,
-// truncated SVD per type) on a fresh session every iteration, "warm"
-// reuses one prewarmed session so each Match only re-runs Algorithm 1
-// over cached artifacts. The warm path must be ≥2× faster while
+// truncated SVD per type, Algorithm 1) on a fresh session every
+// iteration, "warm" reuses one prewarmed session so each Match looks up
+// the memoized per-type results. The warm path must be ≥2× faster while
 // producing byte-identical results (asserted by the service tests).
 func BenchmarkSessionWarmVsCold(b *testing.B) {
 	s := fullSetup(b)

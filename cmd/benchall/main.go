@@ -3,8 +3,8 @@
 // reports. Four extra experiments time the substrate: "svd" compares
 // the seed's dense-Jacobi-then-truncate decomposition against the sparse
 // subsystem over every type's occurrence matrix, "session" measures the
-// serving-path speedup of a warm session (cached dictionaries and LSI
-// artifacts) over a cold one — the cmd-level twin of the
+// serving-path speedup of a warm session (cached dictionaries, LSI
+// artifacts and memoized type alignments) over a cold one — the cmd-level twin of the
 // BenchmarkSessionWarmVsCold gate — "store" times snapshot save/load
 // against a cold artifact build, the cmd-level twin of
 // BenchmarkStoreRestoreVsCold — and "http" drives a real wikimatchd

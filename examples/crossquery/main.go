@@ -38,8 +38,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The session has now cached both pairs' dictionaries and per-type
-	// LSI models; matching Pt–En again only re-runs the alignment.
+	// The session has now cached both pairs' dictionaries, per-type LSI
+	// models and per-type alignments; matching Pt–En again is a lookup.
 	start = time.Now()
 	if _, err := session.Match(ctx, repro.PtEn); err != nil {
 		log.Fatal(err)

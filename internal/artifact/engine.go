@@ -132,6 +132,30 @@ func (e *Engine) Get(ctx context.Context, key Key, epoch uint64, build BuildFunc
 	}
 }
 
+// Lookup returns a node's value if the live graph at epoch already holds
+// it complete; it never builds or waits. A value found counts as a hit,
+// as from Get. A node that is absent or still building, or a superseded
+// epoch, reports false and counts nothing, so a caller falling back to
+// Get for it is counted once.
+func (e *Engine) Lookup(key Key, epoch uint64) (any, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent, ok := e.nodes[key]
+	if !ok || epoch != e.epoch {
+		return nil, false
+	}
+	select {
+	case <-ent.done:
+	default:
+		return nil, false
+	}
+	// A failed build leaves the graph before its done channel closes, so
+	// a closed live entry holds a value.
+	e.hits++
+	e.nodeStats(key).Hits++
+	return ent.val, true
+}
+
 // finishBuild accounts for a completed build and, on failure, discards
 // the entry (if it is still the live one) so the next request rebuilds.
 func (e *Engine) finishBuild(key Key, ent *entry) {

@@ -205,6 +205,53 @@ func TestStaleEpochBuildsPrivately(t *testing.T) {
 	}
 }
 
+// TestLookupNeverBuilds: Lookup answers only from a complete live node
+// and counts a hit only when it finds one, so it never builds, waits or
+// double-counts a node that a fallback Get then serves.
+func TestLookupNeverBuilds(t *testing.T) {
+	e := NewEngine()
+	ctx := context.Background()
+	key := PairKey(wiki.PtEn)
+	if _, ok := e.Lookup(key, 0); ok {
+		t.Fatal("Lookup found an absent node")
+	}
+
+	inBuild, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = e.Get(ctx, key, 0, func(context.Context) (any, error) {
+			close(inBuild)
+			<-release
+			return "v", nil
+		})
+	}()
+	<-inBuild
+	if _, ok := e.Lookup(key, 0); ok {
+		t.Fatal("Lookup returned a node still building")
+	}
+	close(release)
+	<-done
+	if s := e.Stats(); s.Hits != 0 || s.Misses != 1 {
+		t.Fatalf("after one build and two failed lookups: %+v", s)
+	}
+
+	if v, ok := e.Lookup(key, 0); !ok || v != "v" {
+		t.Fatalf("Lookup = %v, %v", v, ok)
+	}
+	if s := e.Stats(); s.Hits != 1 || e.NodeStats(key).Hits != 1 {
+		t.Fatalf("a found node must count one hit: %+v", s)
+	}
+
+	e.Apply(func(*Tx) {}) // epoch 0 → 1: the caller's epoch is superseded
+	if _, ok := e.Lookup(key, 0); ok {
+		t.Fatal("Lookup served a superseded epoch")
+	}
+	if _, ok := e.Lookup(key, 1); !ok {
+		t.Fatal("Lookup missed a live node at the current epoch")
+	}
+}
+
 func TestWaitersRetryOrphanedEntry(t *testing.T) {
 	e := NewEngine()
 	key := PairKey(wiki.PtEn)

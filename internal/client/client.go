@@ -408,8 +408,17 @@ func decodeResponse(resp *http.Response, out any) error {
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("client: decode response: %w", err)
 	}
+	// The decoder stops at the end of the value. Read the body to its end
+	// (a trailing newline, a chunked body's terminator) so the transport
+	// can reuse the connection instead of closing it.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
 	return nil
 }
+
+// maxDrain bounds how much of a response body past its JSON value the
+// client reads to keep the connection reusable; a longer tail is left
+// unread and the connection closed.
+const maxDrain = 64 << 10
 
 // retryAfterKey carries the server's Retry-After hint inside the error
 // details.

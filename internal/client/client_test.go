@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -53,6 +54,40 @@ func TestUnaryRetriesRetryable(t *testing.T) {
 	}
 	if resp.Pair != "pt-en" || calls.Load() != 3 {
 		t.Errorf("resp=%+v calls=%d", resp, calls.Load())
+	}
+}
+
+// TestUnaryReusesConnection: the server sends a chunked body whose
+// terminating chunk comes well after the JSON value. The client must
+// read the body to its end rather than close it after the value, or its
+// transport drops the connection and every call dials a new one.
+func TestUnaryReusesConnection(t *testing.T) {
+	var conns atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(protocol.MatchResponse{Pair: "pt-en"})
+		w.(http.Flusher).Flush()
+		time.Sleep(5 * time.Millisecond) // the terminating chunk follows the handler's return
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	c, err := New(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 10
+	for i := 0; i < calls; i++ {
+		if _, err := c.Match(context.Background(), protocol.MatchRequest{Pair: "pt-en"}); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("%d sequential calls opened %d connections, want 1", calls, n)
 	}
 }
 

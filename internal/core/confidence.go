@@ -49,27 +49,36 @@ func NewTypeResult(typeA, typeB string, cross map[string]map[string]bool, conf m
 // Confidence returns the confidence of a derived cross-language pair
 // (by normalized attribute names), or 0 when the pair was not derived.
 func (r *TypeResult) Confidence(a, b string) float64 {
-	if r.conf == nil {
-		r.buildConfidence()
-	}
-	return r.conf[[2]string{a, b}]
+	return r.confidences()[[2]string{a, b}]
 }
 
 // Confidences returns every derived pair with its confidence.
 func (r *TypeResult) Confidences() map[[2]string]float64 {
-	if r.conf == nil {
-		r.buildConfidence()
-	}
-	out := make(map[[2]string]float64, len(r.conf))
-	for k, v := range r.conf {
+	conf := r.confidences()
+	out := make(map[[2]string]float64, len(conf))
+	for k, v := range conf {
 		out[k] = v
 	}
 	return out
 }
 
+// confidences returns the per-pair confidence table, building it on
+// first use. The build stays lazy — runs that never ask for confidences
+// never pay for them — and happens once even when many goroutines read
+// one shared result. NewTypeResult fills the table up front, so its
+// results skip the build.
+func (r *TypeResult) confidences() map[[2]string]float64 {
+	r.confOnce.Do(func() {
+		if r.conf == nil {
+			r.conf = r.buildConfidence()
+		}
+	})
+	return r.conf
+}
+
 // buildConfidence scores the derived pairs from the run's evidence.
-func (r *TypeResult) buildConfidence() {
-	r.conf = make(map[[2]string]float64)
+func (r *TypeResult) buildConfidence() map[[2]string]float64 {
+	out := make(map[[2]string]float64)
 	// Index candidates by attribute-index pair for provenance lookup.
 	type prov struct {
 		vsim, lsim, lsiScore float64
@@ -119,7 +128,8 @@ func (r *TypeResult) buildConfidence() {
 			if conf > 1 {
 				conf = 1
 			}
-			r.conf[[2]string{aName, bName}] = conf
+			out[[2]string{aName, bName}] = conf
 		}
 	}
+	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"sync"
 	"testing"
 
 	"repro/internal/text"
@@ -66,4 +68,41 @@ func TestCertainPairsScoreHigherThanTransitive(t *testing.T) {
 		t.Errorf("direção ~ directed by confidence (%.2f) ranks low: %d/%d pairs above it",
 			target, higher, total)
 	}
+}
+
+// TestConfidenceConcurrentReaders shares one fresh result between many
+// goroutines that all ask for confidences at once, as requests served
+// from a memoized result do. The lazy build must happen once, race-free
+// (run under -race), and every reader must see the serial values.
+func TestConfidenceConcurrentReaders(t *testing.T) {
+	c, _ := corpus(t)
+	m := NewMatcher(DefaultConfig())
+	res := m.Match(c, wiki.PtEn)
+	want, _ := res.ByTypeA("filme")
+	wantConf := want.Confidences()
+	if len(wantConf) == 0 {
+		t.Fatal("filme derived no pairs")
+	}
+
+	shared := m.MatchType(c, wiki.PtEn, want.TypeA, want.TypeB, res.Dict)
+	const readers = 16
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				if got := shared.Confidences(); !maps.Equal(got, wantConf) {
+					t.Errorf("reader %d: Confidences differ from the serial result", g)
+				}
+				return
+			}
+			for pair, conf := range wantConf {
+				if got := shared.Confidence(pair[0], pair[1]); got != conf {
+					t.Errorf("reader %d: Confidence(%v) = %v, want %v", g, pair, got, conf)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -161,6 +161,8 @@ func (ms *MatchSet) addTo(compID, i int) {
 }
 
 // TypeResult is the outcome of matching one entity type across the pair.
+// It is immutable once returned, so one result may be shared by many
+// readers: the lazily built confidences are guarded by a sync.Once.
 type TypeResult struct {
 	TypeA, TypeB string
 	TD           *sim.TypeData
@@ -171,8 +173,10 @@ type TypeResult struct {
 	// of pair.B-side names it corresponds to — the derived set C.
 	Cross map[string]map[string]bool
 
-	// conf caches per-pair confidences (see confidence.go).
-	conf map[[2]string]float64
+	// conf caches per-pair confidences (see confidence.go), built at
+	// most once under confOnce.
+	confOnce sync.Once
+	conf     map[[2]string]float64
 }
 
 // CrossPairsSorted returns the derived cross-language correspondences as
@@ -251,7 +255,7 @@ type TypeArtifacts struct {
 
 // MatchArtifacts carries the pair-level prebuilt inputs of a full Match:
 // the entity-type alignment, the translation dictionary, and a per-type
-// artifact source. Every field is optional.
+// result source. Every field is optional.
 type MatchArtifacts struct {
 	// Types is the entity-type alignment (MatchEntityTypes output); nil
 	// means compute it.
@@ -260,9 +264,16 @@ type MatchArtifacts struct {
 	// HaveDict is set, so a caller can inject "no dictionary" explicitly.
 	Dict     *dict.Dictionary
 	HaveDict bool
-	// PerType, when non-nil, supplies the per-type artifacts; it must be
-	// safe for concurrent calls (types are matched in parallel).
-	PerType func(ctx context.Context, typeA, typeB string) (*TypeArtifacts, error)
+	// Align, when non-nil, supplies the finished alignment of Types[i]
+	// in place of matching that type here, leaving MatchCtx only the
+	// scheduling — the hook a caching session uses to serve memoized
+	// results. It requires Types and must be safe for concurrent calls
+	// (types are aligned in parallel).
+	Align func(ctx context.Context, i int) (*TypeResult, error)
+	// Aligned, when non-nil, holds alignments already at hand, by Types
+	// index. MatchCtx schedules work only for the nil entries, and none
+	// at all — no worker goroutines — when every entry is set.
+	Aligned []*TypeResult
 }
 
 // Match runs WikiMatch end to end for a language pair: it matches entity
@@ -304,19 +315,25 @@ func (m *Matcher) MatchCtx(ctx context.Context, c *wiki.Corpus, pair wiki.Langua
 		res.Dict = d
 	}
 	results := make([]*TypeResult, len(res.Types))
+	copy(results, art.Aligned)
+	var todo []int
+	for i, r := range results {
+		if r == nil {
+			todo = append(todo, i)
+		}
+	}
 	errs := make([]error, len(res.Types))
-	ParallelTypes(ctx, len(res.Types), func(i int) {
-		tp := res.Types[i]
-		var ta *TypeArtifacts
-		if art.PerType != nil {
-			var err error
-			if ta, err = art.PerType(ctx, tp[0], tp[1]); err != nil {
-				errs[i] = err
+	if len(todo) > 0 {
+		ParallelTypes(ctx, len(todo), func(j int) {
+			i := todo[j]
+			if art.Align != nil {
+				results[i], errs[i] = art.Align(ctx, i)
 				return
 			}
-		}
-		results[i], errs[i] = m.MatchTypeCtx(ctx, c, pair, tp[0], tp[1], res.Dict, ta)
-	})
+			tp := res.Types[i]
+			results[i], errs[i] = m.MatchTypeCtx(ctx, c, pair, tp[0], tp[1], res.Dict, nil)
+		})
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/synth"
 	"repro/internal/wiki"
 )
@@ -83,8 +84,10 @@ func TestMatchCancelMidFlight(t *testing.T) {
 }
 
 // TestMatchTypeCancelMidScoring cancels a single-type alignment whose
-// artifacts are already cached, so the only interruptible stage left is
-// the chunked pair-scoring loop.
+// artifacts are already cached but whose result is not yet memoized, so
+// the only interruptible stage left is the chunked pair-scoring loop.
+// The failed alignment must leave the memo empty, and once the memo is
+// filled a cancelled caller must still get its context's error.
 func TestMatchTypeCancelMidScoring(t *testing.T) {
 	c := fullCorpus(t)
 	s := New(c)
@@ -94,13 +97,24 @@ func TestMatchTypeCancelMidScoring(t *testing.T) {
 		t.Fatalf("Types: %v (%d)", err, len(types))
 	}
 	tp := types[0]
-	if _, err := s.MatchType(ctx, wiki.PtEn, tp[0], tp[1]); err != nil {
-		t.Fatal(err) // warms the artifact cache
+	// An equal-threshold matcher that is not the session's own warms the
+	// artifact cache without touching the memo.
+	if _, err := s.matchTypeWith(ctx, wiki.PtEn, tp[0], tp[1], core.NewMatcher(s.cfg)); err != nil {
+		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if res, err := s.MatchType(cancelled, wiki.PtEn, tp[0], tp[1]); res != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("MatchType = %v, %v; want nil, context.Canceled", res, err)
+	}
+	if memoOf(s, wiki.PtEn, tp[0], tp[1]) != nil {
+		t.Fatal("cancelled alignment was memoized")
+	}
+	if _, err := s.MatchType(ctx, wiki.PtEn, tp[0], tp[1]); err != nil {
+		t.Fatal(err) // fills the memo
+	}
+	if res, err := s.MatchType(cancelled, wiki.PtEn, tp[0], tp[1]); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("memoized MatchType = %v, %v; want nil, context.Canceled", res, err)
 	}
 }
 

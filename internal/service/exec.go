@@ -34,19 +34,19 @@ func (s *Session) ServeMatch(ctx context.Context, req protocol.MatchRequest) (*p
 		if err != nil {
 			return nil, err
 		}
-		tr, err := s.matchTypeWith(ctx, r.Pair, r.Type, typeB, m)
+		tm, err := s.matchTypeWith(ctx, r.Pair, r.Type, typeB, m)
 		if err != nil {
 			return nil, protocol.FromErr(err)
 		}
 		return &protocol.MatchResponse{
 			Pair:      r.Pair.String(),
 			Types:     [][2]string{{r.Type, typeB}},
-			Results:   []protocol.TypeResult{typeResultDTO(tr, msSince(start))},
+			Results:   []protocol.TypeResult{tm.dto(msSince(start))},
 			ElapsedMS: msSince(start),
 			Cache:     s.CacheStats(),
 		}, nil
 	}
-	res, err := s.matchWith(ctx, r.Pair, m)
+	res, matches, err := s.matchWith(ctx, r.Pair, m)
 	if err != nil {
 		return nil, protocol.FromErr(err)
 	}
@@ -56,8 +56,8 @@ func (s *Session) ServeMatch(ctx context.Context, req protocol.MatchRequest) (*p
 		ElapsedMS: msSince(start),
 		Cache:     s.CacheStats(),
 	}
-	for _, tp := range res.Types {
-		resp.Results = append(resp.Results, typeResultDTO(res.PerType[tp], 0))
+	for _, tm := range matches {
+		resp.Results = append(resp.Results, tm.dto(0))
 	}
 	return resp, nil
 }
@@ -128,7 +128,7 @@ func (s *Session) relayPairStream(r protocol.Resolved, start time.Time, updates 
 				failed = true
 				line.Error = protocol.FromErr(u.Err)
 			} else {
-				dto := typeResultDTO(u.Result, 0)
+				dto := u.match.dto(0)
 				byType[u.TypeA] = dto
 				types = append(types, [2]string{u.TypeA, u.TypeB})
 				line.Type = &dto
@@ -218,7 +218,8 @@ type overridePairMatcher struct {
 }
 
 func (p overridePairMatcher) Match(ctx context.Context, pair wiki.LanguagePair) (*core.Result, error) {
-	return p.s.matchWith(ctx, pair, p.m)
+	res, _, err := p.s.matchWith(ctx, pair, p.m)
+	return res, err
 }
 
 // MatchAllDTO flattens a batch result for the wire. It is the one
@@ -262,24 +263,6 @@ func PairOutcomeDTO(o *multi.PairOutcome) protocol.MatchAllPair {
 	}
 	if o.Err != nil {
 		out.Error = o.Err.Error()
-	}
-	return out
-}
-
-// typeResultDTO flattens one TypeResult for the wire, with per-pair
-// confidences attached.
-func typeResultDTO(tr *core.TypeResult, elapsedMS float64) protocol.TypeResult {
-	out := protocol.TypeResult{
-		TypeA:      tr.TypeA,
-		TypeB:      tr.TypeB,
-		Attributes: len(tr.TD.Attrs),
-		Candidates: len(tr.Candidates),
-		ElapsedMS:  elapsedMS,
-	}
-	for _, p := range tr.CrossPairsSorted() {
-		out.Correspondences = append(out.Correspondences, protocol.Correspondence{
-			A: p[0], B: p[1], Confidence: tr.Confidence(p[0], p[1]),
-		})
 	}
 	return out
 }

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/protocol"
@@ -384,8 +387,31 @@ func (st *serverState) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // WriteJSON writes v as a JSON response body. Exported for the fleet
 // router, which serves the same wire shapes.
+//
+// The body is encoded whole and sent with its Content-Length, not
+// chunked. A chunked body ends with a terminator written only after the
+// handler returns; a client that stops reading at the end of the JSON
+// value closes the body before that terminator arrives, and its
+// transport then drops the connection. Whether it arrived in time is a
+// race, so without a length the next request would reconnect at random.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledJSON {
+			buf.Reset()
+			jsonBufs.Put(buf)
+		}
+	}()
+	_ = json.NewEncoder(buf).Encode(v)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
+
+// jsonBufs recycles WriteJSON's encode buffers, so a response costs no
+// garbage beyond its encoding; buffers grown past maxPooledJSON (a large
+// matchall answer) are left to the collector instead of pinned.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledJSON = 1 << 20

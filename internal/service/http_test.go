@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -192,6 +193,40 @@ func TestHTTPVnEnAndErrors(t *testing.T) {
 }
 
 // TestParsePair table-tests the pair parser.
+// TestHTTPUnaryBodiesHaveLength: unary answers, errors included, carry
+// a Content-Length and are not chunked, so a client that reads exactly
+// the JSON value has read the whole body and keeps its connection.
+func TestHTTPUnaryBodiesHaveLength(t *testing.T) {
+	srv, _ := startServer(t)
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/v1/match", `{"pair":"pt-en"}`},
+		{"GET", "/v1/corpus", ""},
+		{"POST", "/v1/match", `{"pair":"xx"}`},
+		{"GET", "/match", ""},
+	} {
+		req, err := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: read: %v", c.method, c.path, err)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(raw)) {
+			t.Errorf("%s %s (status %d): transfer encoding %v, content length %d for a %d-byte body",
+				c.method, c.path, resp.StatusCode, resp.TransferEncoding, resp.ContentLength, len(raw))
+		}
+		if !json.Valid(raw) || raw[len(raw)-1] != '\n' {
+			t.Errorf("%s %s: body is not one newline-terminated JSON value: %q", c.method, c.path, raw)
+		}
+	}
+}
+
 func TestParsePair(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -379,7 +378,5 @@ func validRequestID(id string) bool { return protocol.ValidRequestID(id) }
 // WriteEnvelope writes a structured protocol error with its transport
 // status.
 func WriteEnvelope(w http.ResponseWriter, e *protocol.Error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.HTTPStatus())
-	_ = json.NewEncoder(w).Encode(protocol.ErrorEnvelope{Error: e})
+	WriteJSON(w, e.HTTPStatus(), protocol.ErrorEnvelope{Error: e})
 }

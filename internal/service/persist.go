@@ -46,7 +46,9 @@ func (s *Session) Save(w io.Writer) error {
 				Dict:  pd.dict,
 			})
 		case artifact.KindType:
-			art := n.Value.(*core.TypeArtifacts)
+			// Only the artifacts persist; the memoized alignment is
+			// recomputed on first use after a restore.
+			art := n.Value.(*typeNode).art
 			snap.Types = append(snap.Types, store.TypeArtifacts{
 				Pair:  n.Key.Pair,
 				TypeA: n.Key.TypeA,
@@ -69,7 +71,8 @@ func (s *Session) Save(w io.Writer) error {
 // artifacts were built (dictionary use, LSI rank, SVD path) are rejected
 // with a store.ConfigMismatchError, while pure matching thresholds
 // (Tsim, TLSI, TEg, the ablation switches of Algorithm 1) may differ
-// freely since the alignment itself runs per request.
+// freely: snapshots hold no alignments, which the restored session
+// computes (and memoizes) under its own configuration.
 //
 // Every artifact in the snapshot is seeded into the engine as a
 // completed node: the first Match against a restored pair counts as
@@ -120,7 +123,7 @@ func RestoreFiltered(c *wiki.Corpus, r io.Reader, keep func(wiki.LanguagePair) b
 	}
 	for _, t := range snap.Types {
 		s.eng.Seed(artifact.TypeKey(t.Pair, t.TypeA, t.TypeB),
-			&core.TypeArtifacts{TD: t.TD, LSI: t.LSI})
+			&typeNode{art: &core.TypeArtifacts{TD: t.TD, LSI: t.LSI}})
 	}
 	return s, nil
 }

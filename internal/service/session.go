@@ -10,9 +10,11 @@
 // every match entrypoint honours context cancellation down to the chunk
 // boundaries of the pair-scoring hot path.
 //
-// The cached artifacts are inputs to Algorithm 1, not its outputs:
-// every Match call still runs the alignment itself, so a warm call
-// returns a result identical to a cold one — only faster.
+// Each type node also memoizes Algorithm 1's output for that type under
+// the session's configuration (see memo.go), so a warm Match is a lookup
+// and returns a result identical to a cold one. Requests that override
+// the matching thresholds still run the alignment themselves over the
+// cached artifacts; they neither read nor fill the memo.
 //
 // The corpus itself is mutable through ApplyDelta (see delta.go): the
 // session swaps in an edited corpus copy-on-write and invalidates
@@ -100,55 +102,127 @@ func (s *Session) Corpus() *wiki.Corpus { return s.state.Load().corpus }
 // Match runs WikiMatch end to end for a language pair, reusing any cached
 // artifacts and caching whatever it has to build. The result is identical
 // to a cold core.Matcher.Match run with the same configuration.
+//
+// Each type's alignment is memoized on its type node, so a warm Match is
+// a lookup: the returned Result is fresh, but its PerType values are
+// shared with every other request served from the same cache and must be
+// treated as read-only.
 func (s *Session) Match(ctx context.Context, pair wiki.LanguagePair) (*core.Result, error) {
-	return s.matchWith(ctx, pair, s.m)
+	res, _, err := s.matchWith(ctx, pair, s.m)
+	return res, err
 }
 
 // matchWith is Match with an explicit matcher, the seam that lets a
-// protocol request override matching thresholds per request: m scores
-// and aligns, while artifact construction (and the cache key space)
-// stays bound to the session's own configuration. Thresholds do not
-// shape artifacts, so any threshold-overridden matcher reuses the
-// shared cache safely.
-func (s *Session) matchWith(ctx context.Context, pair wiki.LanguagePair, m *core.Matcher) (*core.Result, error) {
+// protocol request override matching thresholds per request: m aligns,
+// while artifact construction (and the cache key space) stays bound to
+// the session's own configuration. Thresholds do not shape artifacts,
+// so any threshold-overridden matcher reuses the shared cache safely.
+// Alongside the result it returns each type's alignment in Types order,
+// for callers that serve the wire correspondences.
+func (s *Session) matchWith(ctx context.Context, pair wiki.LanguagePair, m *core.Matcher) (*core.Result, []*typeMatch, error) {
 	st := s.state.Load()
 	pd, err := s.pairArtifacts(ctx, st, pair)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Copy the cached alignment: MatchCtx hands Types to the caller via
 	// Result.Types, and a caller reordering its result must not corrupt
 	// the shared cache entry.
 	types := make([][2]string, len(pd.types))
 	copy(types, pd.types)
+	// Take what the cache already holds on this goroutine: a type whose
+	// node is cached and memoized needs no worker, so a warm pair is a
+	// lookup and MatchCtx schedules nothing. Only the rest go to Align,
+	// which reuses the nodes found here.
+	nodes := make([]*typeNode, len(types))
+	matches := make([]*typeMatch, len(types))
+	aligned := make([]*core.TypeResult, len(types))
+	for i, tp := range types {
+		v, ok := s.eng.Lookup(artifact.TypeKey(pair, tp[0], tp[1]), st.epoch)
+		if !ok {
+			continue
+		}
+		nodes[i] = v.(*typeNode)
+		if m == s.m {
+			if matches[i] = nodes[i].memo(); matches[i] != nil {
+				aligned[i] = matches[i].tr
+			}
+		}
+	}
 	art := &core.MatchArtifacts{
 		Types:    types,
 		Dict:     pd.dict,
 		HaveDict: true,
-		PerType: func(ctx context.Context, typeA, typeB string) (*core.TypeArtifacts, error) {
-			return s.typeArtifacts(ctx, st, pair, typeA, typeB, pd.dict)
+		Aligned:  aligned,
+		Align: func(ctx context.Context, i int) (*core.TypeResult, error) {
+			node := nodes[i]
+			if node == nil {
+				var err error
+				if node, err = s.typeNode(ctx, st, pair, types[i][0], types[i][1], pd.dict); err != nil {
+					return nil, err
+				}
+			}
+			tm, err := s.alignNode(ctx, st, pair, pd, node, types[i][0], types[i][1], m)
+			if err != nil {
+				return nil, err
+			}
+			matches[i] = tm
+			return tm.tr, nil
 		},
 	}
-	return m.MatchCtx(ctx, st.corpus, pair, art)
+	res, err := m.MatchCtx(ctx, st.corpus, pair, art)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, matches, nil
 }
 
-// MatchType aligns one entity-type pair, reusing cached artifacts.
+// MatchType aligns one entity-type pair, reusing cached artifacts and the
+// type's memoized alignment. The returned TypeResult is shared and
+// read-only, as in Match.
 func (s *Session) MatchType(ctx context.Context, pair wiki.LanguagePair, typeA, typeB string) (*core.TypeResult, error) {
-	return s.matchTypeWith(ctx, pair, typeA, typeB, s.m)
+	tm, err := s.matchTypeWith(ctx, pair, typeA, typeB, s.m)
+	if err != nil {
+		return nil, err
+	}
+	return tm.tr, nil
 }
 
 // matchTypeWith is MatchType with an explicit matcher (see matchWith).
-func (s *Session) matchTypeWith(ctx context.Context, pair wiki.LanguagePair, typeA, typeB string, m *core.Matcher) (*core.TypeResult, error) {
+func (s *Session) matchTypeWith(ctx context.Context, pair wiki.LanguagePair, typeA, typeB string, m *core.Matcher) (*typeMatch, error) {
 	st := s.state.Load()
 	pd, err := s.pairArtifacts(ctx, st, pair)
 	if err != nil {
 		return nil, err
 	}
-	art, err := s.typeArtifacts(ctx, st, pair, typeA, typeB, pd.dict)
+	return s.alignType(ctx, st, pair, pd, typeA, typeB, m)
+}
+
+// alignType aligns one type pair with matcher m. The session's own
+// matcher goes through the type node's memo; a threshold-override
+// matcher computes a fresh result and leaves the memo alone, so the memo
+// only ever holds the session configuration's result.
+func (s *Session) alignType(ctx context.Context, st *sessionState, pair wiki.LanguagePair, pd *pairData, typeA, typeB string, m *core.Matcher) (*typeMatch, error) {
+	node, err := s.typeNode(ctx, st, pair, typeA, typeB, pd.dict)
 	if err != nil {
 		return nil, err
 	}
-	return m.MatchTypeCtx(ctx, st.corpus, pair, typeA, typeB, pd.dict, art)
+	return s.alignNode(ctx, st, pair, pd, node, typeA, typeB, m)
+}
+
+// alignNode is alignType on a type node already at hand.
+func (s *Session) alignNode(ctx context.Context, st *sessionState, pair wiki.LanguagePair, pd *pairData, node *typeNode, typeA, typeB string, m *core.Matcher) (*typeMatch, error) {
+	align := func(ctx context.Context) (*core.TypeResult, error) {
+		return m.MatchTypeCtx(ctx, st.corpus, pair, typeA, typeB, pd.dict, node.art)
+	}
+	if m == s.m {
+		return node.matched(ctx, align)
+	}
+	tr, err := align(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return newTypeMatch(tr), nil
 }
 
 // Types returns the entity-type alignment for a pair (cached after the
@@ -271,18 +345,18 @@ func (s *Session) buildPairData(ctx context.Context, c *wiki.Corpus, pair wiki.L
 	return pd, nil
 }
 
-// typeArtifacts returns one type pair's artifacts, building them once
-// through the engine.
-func (s *Session) typeArtifacts(ctx context.Context, st *sessionState, pair wiki.LanguagePair, typeA, typeB string, d *dict.Dictionary) (*core.TypeArtifacts, error) {
+// typeNode returns one type pair's node value, building its artifacts
+// once through the engine.
+func (s *Session) typeNode(ctx context.Context, st *sessionState, pair wiki.LanguagePair, typeA, typeB string, d *dict.Dictionary) (*typeNode, error) {
 	v, err := s.eng.Get(ctx, artifact.TypeKey(pair, typeA, typeB), st.epoch, func(ctx context.Context) (any, error) {
 		art, err := s.m.BuildTypeArtifacts(ctx, st.corpus, pair, typeA, typeB, d)
 		if err != nil {
 			return nil, err
 		}
-		return art, nil
+		return &typeNode{art: art}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*core.TypeArtifacts), nil
+	return v.(*typeNode), nil
 }

@@ -17,6 +17,10 @@ type TypeUpdate struct {
 	TypeA, TypeB string
 	Result       *core.TypeResult
 	Err          error
+
+	// match carries Result with its wire correspondences for the
+	// protocol relay.
+	match *typeMatch
 }
 
 // MatchStream runs WikiMatch for a language pair and emits each type's
@@ -27,8 +31,9 @@ type TypeUpdate struct {
 // types that have not started yet. The channel is closed once every type
 // has been emitted or skipped; after a cancellation the consumer
 // observes ctx.Err() (and possibly a final TypeUpdate carrying it).
-// Artifacts are cached exactly as in Match, so a stream warms the cache
-// for later calls and vice versa.
+// Artifacts and type alignments are cached exactly as in Match, so a
+// stream warms the cache for later calls and vice versa; the streamed
+// TypeResults are shared and read-only.
 func (s *Session) MatchStream(ctx context.Context, pair wiki.LanguagePair) (<-chan TypeUpdate, error) {
 	return s.streamWith(ctx, pair, s.m)
 }
@@ -49,9 +54,9 @@ func (s *Session) streamWith(ctx context.Context, pair wiki.LanguagePair, m *cor
 		core.ParallelTypes(ctx, len(types), func(i int) {
 			tp := types[i]
 			u := TypeUpdate{Index: i, Total: len(types), TypeA: tp[0], TypeB: tp[1]}
-			art, err := s.typeArtifacts(ctx, st, pair, tp[0], tp[1], pd.dict)
+			tm, err := s.alignType(ctx, st, pair, pd, tp[0], tp[1], m)
 			if err == nil {
-				u.Result, err = m.MatchTypeCtx(ctx, st.corpus, pair, tp[0], tp[1], pd.dict, art)
+				u.Result, u.match = tm.tr, tm
 			}
 			u.Err = err
 			out <- u
