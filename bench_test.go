@@ -7,9 +7,10 @@ package repro
 // sweeps (Table 3, Figures 3 and 5) run at small scale so a full
 // `go test -bench=.` stays in tens of seconds.
 //
-// Additional ablation benchmarks cover the design choices DESIGN.md §4
-// calls out (dictionary translation inside vsim, LSI rank) and the
-// substrate hot paths (SVD, dump parsing, one full type alignment).
+// Additional ablation benchmarks cover two choices inside the paper's
+// similarity measures (Section 3.2: dictionary translation inside vsim,
+// the LSI rank f) and the substrate hot paths (SVD, dump parsing, one
+// full type alignment).
 
 import (
 	"bytes"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/linalg"
 	"repro/internal/lsi"
+	"repro/internal/service"
 	"repro/internal/synth"
 	"repro/internal/wiki"
 )
@@ -201,7 +203,7 @@ func BenchmarkFigure7COMAConfigs(b *testing.B) {
 // ---------------------------------------------------------------- ablations
 
 // BenchmarkAblationDictionary quantifies the dictionary's contribution
-// to vsim (DESIGN.md §4 item 5): full WikiMatch vs NoDictionary.
+// to vsim (the paper's Section 3.2): full WikiMatch vs NoDictionary.
 func BenchmarkAblationDictionary(b *testing.B) {
 	s := smallSetup(b)
 	for _, mode := range []struct {
@@ -229,8 +231,8 @@ func BenchmarkAblationDictionary(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLSIRank sweeps the truncated-SVD rank (DESIGN.md §4
-// item 6).
+// BenchmarkAblationLSIRank sweeps the truncated-SVD rank, the paper's f
+// (Section 3.2; README "The fast-LSI substrate").
 func BenchmarkAblationLSIRank(b *testing.B) {
 	s := smallSetup(b)
 	for _, rank := range []int{2, 5, 10, 20, 40} {
@@ -447,7 +449,7 @@ func BenchmarkStoreRestoreVsCold(b *testing.B) {
 	b.Run("restore", func(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		for i := 0; i < b.N; i++ {
-			sess, err := RestoreSession(s.Corpus, bytes.NewReader(raw))
+			sess, err := service.Restore(s.Corpus, bytes.NewReader(raw))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -458,7 +460,7 @@ func BenchmarkStoreRestoreVsCold(b *testing.B) {
 	})
 	b.Run("restore+match", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sess, err := RestoreSession(s.Corpus, bytes.NewReader(raw))
+			sess, err := service.Restore(s.Corpus, bytes.NewReader(raw))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -86,6 +86,11 @@ func main() {
 	trajectory := flag.String("trajectory", "", "with -json: upsert the measured document into this trajectory file")
 	prName := flag.String("pr", "", "entry name for -trajectory (e.g. pr9)")
 	flag.Parse()
+	cfg, err := synth.ScaleConfig(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchall:", err)
+		os.Exit(2)
+	}
 
 	emitJSON := func(doc timingDoc) {
 		enc := json.NewEncoder(os.Stdout)
@@ -143,10 +148,6 @@ func main() {
 		return
 	}
 
-	cfg := synth.DefaultConfig()
-	if *scale == "small" {
-		cfg = synth.SmallConfig()
-	}
 	s, err := experiments.NewSetup(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "setup:", err)

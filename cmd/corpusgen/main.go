@@ -67,14 +67,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "corpusgen: unknown -format %q (want xml or ttl)\n", *format)
 		os.Exit(2)
 	}
-	if err := run(*out, *format, *gzipFlag, *scale, *seed, *editions,
+	scaleCfg, err := synth.ScaleConfig(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "corpusgen:", err)
+		os.Exit(2)
+	}
+	if err := run(*out, *format, *gzipFlag, scaleCfg, *seed, *editions,
 		*langsFlag, *hub, *entities, *hubLinkPct, *nonHubLinkPct, *templatePct); err != nil {
 		fmt.Fprintln(os.Stderr, "corpusgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, format string, gz bool, scale string, seed int64, editions bool,
+func run(out, format string, gz bool, scaleCfg synth.Config, seed int64, editions bool,
 	langsFlag, hub string, entities, hubLinkPct, nonHubLinkPct, templatePct int) error {
 	var (
 		corpus *wiki.Corpus
@@ -115,10 +120,7 @@ func run(out, format string, gz bool, scale string, seed int64, editions bool,
 		}
 		corpus, _, err = synth.Editions(cfg)
 	} else {
-		cfg := synth.SmallConfig()
-		if scale == "full" {
-			cfg = synth.DefaultConfig()
-		}
+		cfg := scaleCfg
 		if seed != 0 {
 			cfg.Seed = seed
 		}

@@ -105,7 +105,7 @@ func matchCmd(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	pairFlag := fs.String("pair", "pt-en", "language pair, e.g. pt-en (colon form for hyphenated codes: zh-min-nan:en)")
 	typeFlag := fs.String("type", "", "match only one source-language type (single-type request)")
-	scale := fs.String("scale", "small", "generated corpus scale: small or full")
+	scale := scaleFlag(fs)
 	dumpsDir := fs.String("dumps", "", "directory with dumps to ingest (DBpedia <lang>-*.ttl[.gz|.bz2], MediaWiki <lang>.xml) instead of generating")
 	remote := fs.String("remote", "", "wikimatchd base URL; match there instead of in process")
 	tsim := fs.Float64("tsim", 0.6, "certain-match threshold Tsim")
@@ -205,11 +205,23 @@ func newBackend(remote string, corpus *repro.Corpus) (repro.Backend, error) {
 	return repro.NewAPIClient(remote)
 }
 
+// scaleFlag defines -scale on fs: the generated corpus configuration,
+// small by default. An unknown scale fails fs.Parse like any other bad
+// flag value.
+func scaleFlag(fs *flag.FlagSet) *synth.Config {
+	cfg := synth.SmallConfig()
+	fs.Func("scale", "generated corpus scale: small or full (default small)", func(s string) (err error) {
+		cfg, err = synth.ScaleConfig(s)
+		return err
+	})
+	return &cfg
+}
+
 // loadCorpus ingests every recognized dump in the directory when one is
 // given — DBpedia TTL and MediaWiki XML, any language set, transparently
 // compressed — otherwise generates the synthetic corpus (with its ground
 // truth) at the requested scale.
-func loadCorpus(w io.Writer, dumpsDir, scale string) (*wiki.Corpus, *synth.GroundTruth, error) {
+func loadCorpus(w io.Writer, dumpsDir string, cfg synth.Config) (*wiki.Corpus, *synth.GroundTruth, error) {
 	if dumpsDir != "" {
 		res, err := ingest.Dir(context.Background(), dumpsDir, ingest.Options{})
 		if err != nil {
@@ -219,10 +231,6 @@ func loadCorpus(w io.Writer, dumpsDir, scale string) (*wiki.Corpus, *synth.Groun
 		fmt.Fprintf(w, "ingested %s: %d editions %v, %d files, %d entities (%d skipped units)\n",
 			dumpsDir, len(res.PerLang), res.Languages(), tot.Files, tot.Entities, tot.SkippedTotal())
 		return res.Corpus, nil, nil
-	}
-	cfg := synth.SmallConfig()
-	if scale == "full" {
-		cfg = synth.DefaultConfig()
 	}
 	corpus, truth, err := synth.Generate(cfg)
 	if err != nil {
@@ -329,14 +337,14 @@ func printIngestReport(w io.Writer, res *ingest.Result, dryRun bool) {
 
 // precompute is the offline artifact build: it warms a session for every
 // requested language pair and writes the whole artifact cache as one
-// snapshot that wikimatchd -store (or repro.RestoreSession) loads in
-// milliseconds.
+// snapshot that wikimatchd -store (or repro.RestoreSessionFromFile)
+// loads in milliseconds.
 func precompute(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wikimatch precompute", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	storePath := fs.String("store", "artifacts.wmsnap", "snapshot file to write (atomic)")
 	pairsFlag := fs.String("pairs", "pt-en,vi-en", "comma-separated language pairs to precompute")
-	scale := fs.String("scale", "small", "generated corpus scale: small or full")
+	scale := scaleFlag(fs)
 	dumpsDir := fs.String("dumps", "", "directory with dumps to ingest (DBpedia <lang>-*.ttl[.gz|.bz2], MediaWiki <lang>.xml) instead of generating")
 	tsim := fs.Float64("tsim", 0.6, "certain-match threshold Tsim")
 	tlsi := fs.Float64("tlsi", 0.1, "correlation threshold TLSI")
@@ -396,7 +404,7 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 	modeFlag := fs.String("mode", "pivot", "pair coverage: pivot (through -hub) or direct (all pairs)")
 	hubFlag := fs.String("hub", "", "pivot hub language edition (default: English if present, else first)")
 	workers := fs.Int("workers", 0, "concurrent pairs (0 = GOMAXPROCS)")
-	scale := fs.String("scale", "small", "generated corpus scale: small or full")
+	scale := scaleFlag(fs)
 	dumpsDir := fs.String("dumps", "", "directory with dumps to ingest (DBpedia <lang>-*.ttl[.gz|.bz2], MediaWiki <lang>.xml) instead of generating")
 	remote := fs.String("remote", "", "wikimatchd base URL; run the batch there instead of in process")
 	storePath := fs.String("store", "", "write the batch's artifact snapshot here afterwards (in-process only)")
@@ -500,7 +508,7 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 	modeFlag := fs.String("mode", "pivot", "pair coverage for the matching phase: pivot (through -hub) or direct")
 	hubFlag := fs.String("hub", "", "pivot hub language edition (default: English if present, else first)")
 	workers := fs.Int("workers", 0, "concurrent pairs in the matching phase (0 = GOMAXPROCS)")
-	scale := fs.String("scale", "small", "generated corpus scale: small or full")
+	scale := scaleFlag(fs)
 	dumpsDir := fs.String("dumps", "", "directory with dumps to ingest (DBpedia <lang>-*.ttl[.gz|.bz2], MediaWiki <lang>.xml) instead of generating")
 	remote := fs.String("remote", "", "wikimatchd base URL; audit there instead of in process")
 	pairFlag := fs.String("pair", "", "restrict findings to one language pair (e.g. pt-en or zh-min-nan:en)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -116,6 +117,25 @@ func TestRemoteFlagValidation(t *testing.T) {
 	errBuf.Reset()
 	if code := matchCmd([]string{"-pair", "bogus"}, &out, &errBuf); code != 2 {
 		t.Errorf("bad pair exited %d, want 2", code)
+	}
+}
+
+// TestScaleFlagValidation: an unknown -scale is a usage error in every
+// subcommand that generates a corpus, not a silent fallback to small.
+func TestScaleFlagValidation(t *testing.T) {
+	for name, cmd := range map[string]func([]string, io.Writer, io.Writer) int{
+		"match":      matchCmd,
+		"precompute": precompute,
+		"matchall":   matchallCmd,
+		"audit":      auditCmd,
+	} {
+		var out, errBuf bytes.Buffer
+		if code := cmd([]string{"-scale", "large"}, &out, &errBuf); code != 2 {
+			t.Errorf("%s -scale large exited %d, want 2", name, code)
+		}
+		if !strings.Contains(errBuf.String(), `unknown corpus scale "large"`) {
+			t.Errorf("%s stderr: %s", name, errBuf.String())
+		}
 	}
 }
 

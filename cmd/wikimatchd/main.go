@@ -84,6 +84,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/synth"
 )
 
 func main() {
@@ -104,6 +105,11 @@ func main() {
 	shardIndex := flag.Int("shard-index", -1, "serve as this shard of a -shard-count fleet: only owned pairs are loaded and served")
 	shardCount := flag.Int("shard-count", 0, "total replicas in the fleet (required with -shard-index)")
 	flag.Parse()
+	corpusCfg, err := synth.ScaleConfig(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wikimatchd:", err)
+		os.Exit(2)
+	}
 
 	middleware := []repro.HTTPHandlerOption{
 		repro.WithMaxConcurrent(*maxConcurrent),
@@ -121,7 +127,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	corpus, err := buildCorpus(*dumpsDir, *scale)
+	corpus, err := buildCorpus(*dumpsDir, corpusCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -190,14 +196,14 @@ func main() {
 // come up either way. flushOnExit reports whether the shutdown path may
 // write the snapshot back: true after a successful restore or when no
 // snapshot exists yet, false when an existing snapshot was rejected —
-// a daemon pointed at the wrong corpus (a -scale typo, say) must not
+// a daemon pointed at the wrong corpus (the wrong -scale, say) must not
 // clobber somebody else's precomputed artifacts.
 func openSession(corpus *repro.Corpus, storePath string, keep func(repro.LanguagePair) bool, opts []repro.SessionOption) (_ *repro.Session, flushOnExit bool) {
 	if storePath == "" {
 		return repro.NewSession(corpus, opts...), false
 	}
 	start := time.Now()
-	session, err := repro.RestoreSessionFromFileFiltered(corpus, storePath, keep, opts...)
+	session, err := repro.RestoreSessionFromFile(corpus, storePath, keep, opts...)
 	switch {
 	case err == nil:
 		cs := session.CacheStats()
@@ -285,7 +291,7 @@ func runRouter(addr, shardAddrs string, healthInterval, hedge time.Duration, mid
 // buildCorpus ingests every recognized dump in dir when given (DBpedia
 // TTL and MediaWiki XML, any language set, transparently compressed),
 // otherwise generates the synthetic corpus at the requested scale.
-func buildCorpus(dir, scale string) (*repro.Corpus, error) {
+func buildCorpus(dir string, cfg synth.Config) (*repro.Corpus, error) {
 	if dir != "" {
 		res, err := repro.IngestDir(context.Background(), dir, repro.IngestOptions{
 			Progress: func(ev repro.IngestProgress) {
@@ -301,10 +307,6 @@ func buildCorpus(dir, scale string) (*repro.Corpus, error) {
 			len(res.PerLang), tot.Files, res.Bytes, tot.Entities, tot.SkippedTotal(),
 			res.Elapsed.Round(time.Millisecond))
 		return res.Corpus, nil
-	}
-	cfg := repro.SmallCorpus()
-	if scale == "full" {
-		cfg = repro.DefaultCorpus()
 	}
 	corpus, _, err := repro.GenerateCorpus(cfg)
 	if err != nil {

@@ -3,8 +3,9 @@ package repro
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
+
+	"repro/internal/dict"
 )
 
 // TestFacadeEndToEnd drives the entire public API the way a downstream
@@ -60,7 +61,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Dictionary.
-	d := BuildDictionary(corpus, Portuguese, English)
+	d := dict.Build(corpus, Portuguese, English)
 	if d.Len() == 0 {
 		t.Error("empty dictionary")
 	}
@@ -91,30 +92,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if len(series) != 4 {
 		t.Errorf("series = %d", len(series))
-	}
-}
-
-func TestFacadeParsePage(t *testing.T) {
-	a, err := ParsePage(English, "X", "{{Infobox film\n| name = X\n}}\n[[pt:Xis]]")
-	if err != nil {
-		t.Fatalf("ParsePage: %v", err)
-	}
-	if a.Type != "film" {
-		t.Errorf("type = %q", a.Type)
-	}
-	if title, ok := a.CrossLink(Portuguese); !ok || title != "Xis" {
-		t.Errorf("cross link = %q, %v", title, ok)
-	}
-}
-
-func TestFacadeMatchEntityTypes(t *testing.T) {
-	corpus, _, err := GenerateCorpus(SmallCorpus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := MatchEntityTypes(corpus, VnEn)
-	if len(pairs) != 4 {
-		t.Errorf("vn-en type pairs = %v", pairs)
 	}
 }
 
@@ -186,35 +163,11 @@ func TestFacadeBaselines(t *testing.T) {
 	if !bouma.Has(Normalize("direção"), "directed by") {
 		t.Error("Bouma missed direção ~ directed by")
 	}
-	lt := NewLabelTranslator(0, 1)
+	lt := dict.NewLabelTranslator(0, 1)
 	lt.Add("direção", "directed by")
-	cfgs := COMAConfigs(0.01)
-	for i, coma := range RunCOMASweep(corpus, PtEn, "filme", "film", lt, cfgs...) {
-		if coma.Pairs() == 0 {
-			t.Errorf("COMA config %d (%s) derived nothing", i, cfgs[i].Label())
+	for i, cfg := range COMAConfigs(0.01) {
+		if coma := RunCOMA(corpus, PtEn, "filme", "film", lt, cfg); coma.Pairs() == 0 {
+			t.Errorf("COMA config %d (%s) derived nothing", i, cfg.Label())
 		}
-	}
-	// The single-config entrypoint agrees with the sweep.
-	single := RunCOMA(corpus, PtEn, "filme", "film", lt, cfgs[1])
-	sweep := RunCOMASweep(corpus, PtEn, "filme", "film", lt, cfgs[1])[0]
-	if single.Pairs() != sweep.Pairs() {
-		t.Errorf("RunCOMA %d pairs, RunCOMASweep %d", single.Pairs(), sweep.Pairs())
-	}
-}
-
-func TestFacadeExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment harness is slow")
-	}
-	exp, err := NewExperiments(SmallCorpus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := RenderAllExperiments(&buf, exp, DefaultMatcherConfig()); err != nil {
-		t.Fatalf("RenderAllExperiments: %v", err)
-	}
-	if !strings.Contains(buf.String(), "Table 2") {
-		t.Error("output missing Table 2")
 	}
 }

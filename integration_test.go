@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/synth"
 	"repro/internal/wiki"
 )
@@ -94,7 +95,7 @@ func TestCategoryTypingIntegration(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no articles typed from categories")
 	}
-	pairs := MatchEntityTypes(stripped, wiki.PtEn)
+	pairs := core.MatchEntityTypes(stripped, wiki.PtEn)
 	if len(pairs) != 14 {
 		t.Fatalf("type pairs after category typing = %d, want 14", len(pairs))
 	}

@@ -7,8 +7,10 @@
 // The package also provides LabelTranslator, a lookup-table translator
 // with configurable error injection that stands in for the external
 // machine-translation system (Google Translator) used by the COMA++
-// baseline's "+G" configurations. See DESIGN.md §1 for why this
-// substitution preserves the behaviour under study.
+// baseline's "+G" configurations. The substitution keeps what those
+// configurations are measured on: label translations that are sometimes
+// literal rather than template-correct, at a controlled, seeded rate
+// (see LabelTranslator).
 package dict
 
 import (

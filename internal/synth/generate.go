@@ -112,6 +112,19 @@ func SmallConfig() Config {
 	return cfg
 }
 
+// ScaleConfig returns the corpus configuration a command's -scale flag
+// names: SmallConfig for "small", DefaultConfig for "full". Any other
+// name is an error, so a typo cannot silently pick a corpus.
+func ScaleConfig(scale string) (Config, error) {
+	switch scale {
+	case "small":
+		return SmallConfig(), nil
+	case "full":
+		return DefaultConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unknown corpus scale %q (want small or full)", scale)
+}
+
 // AuditEvalConfig is the consistency-audit evaluation corpus: the
 // small-scale corpus with the organic value noise silenced (so injected
 // inconsistencies are the only cross-edition value disagreements of

@@ -4,8 +4,8 @@
 // alignments a bilingual expert would produce.
 //
 // The generator substitutes for the Wikipedia dumps used in the paper's
-// evaluation (see DESIGN.md §1). It reproduces the statistical properties
-// the matching algorithms feed on:
+// evaluation (README "Architecture map"). It reproduces the statistical
+// properties the matching algorithms feed on:
 //
 //   - per-type attribute-set overlap across languages, matched to the
 //     paper's Table 5;
