@@ -434,3 +434,39 @@ func TestServeDelta(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkApplyDelta times one corpus delta on the paper corpus with
+// pt-en and vi-en warm: a one-value edit and then its restore, on the pt
+// and vi editions in turn, so the corpus returns to its original content
+// every other op.
+func BenchmarkApplyDelta(b *testing.B) {
+	c := fullCorpus(b)
+	s := New(c)
+	ctx := context.Background()
+	for _, p := range []wiki.LanguagePair{wiki.PtEn, wiki.VnEn} {
+		if _, err := s.Match(ctx, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var edits [][2]wiki.Delta // per edition: change, restore
+	for _, l := range []wiki.Language{wiki.Portuguese, wiki.Vietnamese} {
+		a := c.OfType(l, c.Types(l)[0])[0]
+		changed := a.Clone()
+		changed.Infobox.Attrs[0].Text += " (editado)"
+		edits = append(edits, [2]wiki.Delta{
+			{Upserts: []*wiki.Article{changed}},
+			{Upserts: []*wiki.Article{a.Clone()}},
+		})
+	}
+	orig := c.Fingerprint()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		res, err := s.ApplyDelta(ctx, edits[(i/2)%len(edits)][i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i%2 == 1 && res.Fingerprint != orig {
+			b.Fatalf("restore left fingerprint %016x, want %016x", res.Fingerprint, orig)
+		}
+	}
+}

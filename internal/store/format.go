@@ -37,10 +37,12 @@ import (
 // Magic opens every snapshot file.
 const Magic = "WMSTORE\n"
 
-// Version is the current format version. Readers reject snapshots with a
-// newer version (they cannot know its layout) with a VersionError;
-// writers always emit this version.
-const Version uint32 = 1
+// Version is the current format version. Readers reject snapshots of
+// any other version with a VersionError: a newer layout they cannot
+// know, and an older one whose corpus fingerprint no longer means what
+// it did (v2 changed wiki.Corpus.Fingerprint to a sum of per-article
+// digests). Writers always emit this version.
+const Version uint32 = 2
 
 // Section kinds.
 const (
@@ -60,13 +62,16 @@ var (
 	ErrTruncated = errors.New("store: truncated snapshot")
 )
 
-// VersionError reports a snapshot written by a newer format than this
-// reader understands.
+// VersionError reports a snapshot written in a format version other
+// than the one this reader understands, older or newer.
 type VersionError struct {
 	Got, Want uint32
 }
 
 func (e *VersionError) Error() string {
+	if e.Got < e.Want {
+		return fmt.Sprintf("store: snapshot format v%d older than supported v%d (rebuild the snapshot)", e.Got, e.Want)
+	}
 	return fmt.Sprintf("store: snapshot format v%d newer than supported v%d", e.Got, e.Want)
 }
 
@@ -177,7 +182,7 @@ func readContainer(r io.Reader) (fingerprint uint64, createdAt int64, sections [
 		return 0, 0, nil, ErrTruncated
 	}
 	version := binary.LittleEndian.Uint32(data[8:12])
-	if version > Version {
+	if version != Version {
 		return 0, 0, nil, &VersionError{Got: version, Want: Version}
 	}
 	fingerprint = binary.LittleEndian.Uint64(data[12:20])

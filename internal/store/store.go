@@ -128,7 +128,7 @@ func Write(w io.Writer, snap *Snapshot) error {
 }
 
 // Read parses and fully verifies a snapshot from r. On any failure —
-// truncation, bit flips, a future format version, malformed payloads —
+// truncation, bit flips, another format version, malformed payloads —
 // it returns a typed error and no snapshot; partial state is never
 // handed out. Read does not know the serving corpus, so fingerprint
 // validation is the caller's job (the service layer's Restore does it).

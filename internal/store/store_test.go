@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -205,6 +206,29 @@ func TestFutureVersion(t *testing.T) {
 	}
 	if ve.Got != Version+1 || ve.Want != Version {
 		t.Errorf("VersionError = %+v", ve)
+	}
+	if !strings.Contains(err.Error(), "newer") {
+		t.Errorf("future version error %q does not say newer", err)
+	}
+}
+
+// TestReadOlderVersion: a snapshot from an earlier format is refused
+// too — its fingerprint was computed by a different definition, so it
+// could never be matched to a corpus — and the error says it is older.
+func TestReadOlderVersion(t *testing.T) {
+	_, raw := testSnapshot(t)
+	mut := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(mut[8:], Version-1)
+	snap, err := Read(bytes.NewReader(mut))
+	var ve *VersionError
+	if !errors.As(err, &ve) || snap != nil {
+		t.Fatalf("older version: got %v, %v; want VersionError and no snapshot", snap, err)
+	}
+	if ve.Got != Version-1 || ve.Want != Version {
+		t.Errorf("VersionError = %+v", ve)
+	}
+	if !strings.Contains(err.Error(), "older") {
+		t.Errorf("older version error %q does not say older", err)
 	}
 }
 

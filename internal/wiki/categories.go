@@ -17,7 +17,9 @@ type CategoryTypeMap map[Language]map[string]string
 // AssignTypesFromCategories fills in the Type of every article that has
 // none, using its categories and the mapping. It returns how many
 // articles were typed. Articles typed this way are also added to the
-// corpus's type index.
+// corpus's type index. It edits articles in place, so it belongs to
+// building a corpus, before any corpus derived from it by WithDelta
+// shares those articles; it does drop this corpus's Fingerprint memo.
 func (c *Corpus) AssignTypesFromCategories(m CategoryTypeMap) int {
 	n := 0
 	for _, lang := range c.Languages() {
@@ -45,6 +47,9 @@ func (c *Corpus) AssignTypesFromCategories(m CategoryTypeMap) int {
 				break
 			}
 		}
+	}
+	if n > 0 {
+		c.fp.Store(nil)
 	}
 	return n
 }

@@ -2,7 +2,9 @@ package wiki
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Corpus is a collection of articles across language editions with the
@@ -14,8 +16,12 @@ type Corpus struct {
 	byType   map[Language]map[string][]*Article
 	langList []Language
 	// incoming indexes reverse cross-language links: for an article key
-	// K, incoming[K] lists articles that declare a cross-link to K.
+	// K, incoming[K] lists articles that declare a cross-link to K. Each
+	// list is kept at cap == len, so corpora derived by WithDelta can
+	// share it and an append on either side always copies.
 	incoming map[Key][]Key
+	// fp memoizes Fingerprint; nil until the first call.
+	fp atomic.Pointer[uint64]
 }
 
 // NewCorpus returns an empty corpus ready for use.
@@ -54,7 +60,11 @@ func (c *Corpus) Add(a *Article) error {
 	}
 	for l, t := range a.CrossLinks {
 		target := Key{Language: l, Title: t}
-		c.incoming[target] = append(c.incoming[target], k)
+		c.incoming[target] = append(slices.Clip(c.incoming[target]), k)
+	}
+	if p := c.fp.Load(); p != nil {
+		fp := *p + a.digest()
+		c.fp.Store(&fp)
 	}
 	return nil
 }
