@@ -462,38 +462,15 @@ func TestStreamingBoundedMemory(t *testing.T) {
 			sources = append(sources, Source{Lang: "en", Format: FormatTTL,
 				Reader: &repeatReader{chunk: pad, n: padRepeat}})
 		}
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		floor := ms.HeapAlloc
-		var peak atomic.Uint64
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				runtime.ReadMemStats(&ms)
-				if h := ms.HeapAlloc; h > peak.Load() {
-					peak.Store(h)
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-		}()
-		res, err := Run(context.Background(), sources, Options{})
-		done <- struct{}{}
-		<-done
+		var res *Result
+		var err error
+		grew := heapGrowth(func() {
+			res, err = Run(context.Background(), sources, Options{})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := peak.Load()
-		if p < floor {
-			p = floor
-		}
-		return p - floor, res.Bytes, res.Corpus.Fingerprint()
+		return grew, res.Bytes, res.Corpus.Fingerprint()
 	}
 
 	peak1, bytes1, fp1 := run(false)
@@ -514,4 +491,36 @@ func TestStreamingBoundedMemory(t *testing.T) {
 	}
 	t.Logf("base: %d dump bytes, peak +%d heap; padded: %d dump bytes, peak +%d heap",
 		bytes1, peak1, bytes10, peak10)
+}
+
+// heapGrowth runs fn while a goroutine samples the heap every 200µs and
+// returns the largest growth it saw over the post-GC heap fn started
+// from. The sampler is stopped and waited for before its peak is read.
+func heapGrowth(fn func()) uint64 {
+	runtime.GC()
+	var base runtime.MemStats
+	runtime.ReadMemStats(&base)
+	var peak uint64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		var ms runtime.MemStats
+		for {
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+			select {
+			case <-stop:
+				return
+			default:
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+	fn()
+	close(stop)
+	<-done
+	if peak < base.HeapAlloc {
+		return 0
+	}
+	return peak - base.HeapAlloc
 }

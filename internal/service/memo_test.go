@@ -330,26 +330,31 @@ func TestMemoBypassedByOverrides(t *testing.T) {
 	}
 }
 
-// TestWarmMatchIsLookup guards the warm path: with every artifact and
-// memo in place, a pt-en Session.Match allocates a handful of objects
-// per type — scheduling and result assembly — instead of re-running
-// Algorithm 1, which costs on the order of a thousand allocations per
-// type.
+// TestWarmMatchIsLookup guards the warm path on both of the paper's
+// pairs: with every artifact and memo in place, a Session.Match
+// allocates a handful of objects per type — scheduling and result
+// assembly — instead of re-running Algorithm 1, which costs on the order
+// of a thousand allocations per type.
 func TestWarmMatchIsLookup(t *testing.T) {
-	s := New(smallCorpus(t))
-	ctx := context.Background()
-	res, err := s.Match(ctx, wiki.PtEn)
-	if err != nil {
-		t.Fatal(err)
+	c := smallCorpus(t)
+	for _, pair := range []wiki.LanguagePair{wiki.PtEn, wiki.VnEn} {
+		t.Run(pair.String(), func(t *testing.T) {
+			s := New(c)
+			ctx := context.Background()
+			res, err := s.Match(ctx, pair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			types := len(res.Types)
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := s.Match(ctx, pair); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if limit := float64(4*types + 32); allocs > limit {
+				t.Fatalf("warm %s Match allocates %.0f times over %d types, want at most %.0f", pair, allocs, types, limit)
+			}
+			t.Logf("warm %s Match: %.0f allocations over %d types", pair, allocs, types)
+		})
 	}
-	types := len(res.Types)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := s.Match(ctx, wiki.PtEn); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if limit := float64(4*types + 32); allocs > limit {
-		t.Fatalf("warm pt-en Match allocates %.0f times over %d types, want at most %.0f", allocs, types, limit)
-	}
-	t.Logf("warm pt-en Match: %.0f allocations over %d types", allocs, types)
 }
