@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -52,20 +53,26 @@ type DeltaResult struct {
 // generation), while every request that starts after ApplyDelta
 // returns sees the edited corpus.
 //
-// Invalidation is as fine-grained as the dependency graph allows. For
-// every cached pair containing an edited language, the pair-level
-// artifacts are rebuilt from the edited corpus and diffed: if the
-// dictionary and entity-type alignment are unchanged (the common case
-// for infobox value edits, which feed neither), the pair node is kept
-// and only the type nodes whose entity types lost or gained articles
-// are dropped; otherwise the pair node is reseeded with the fresh
-// build and every type node under it is dropped. A warm re-match after
+// Invalidation is as fine-grained as the dependency graph allows. The
+// pair-level artifacts (dictionary and entity-type alignment) read only
+// titles, types, cross-links and which articles carry an infobox. A
+// delta that changes none of these (wiki.DeltaEffect.Structural false:
+// infobox value edits, the common case) keeps every cached pair node
+// without rebuilding anything, and drops only the type nodes whose
+// entity types lost or gained articles. For a structural delta, the
+// pair-level artifacts of every cached pair containing an edited
+// language, or a language its changes reach (typeReach), are rebuilt
+// from the edited corpus and diffed. If they are unchanged, the pair
+// node is kept and the type nodes of the edited entity types are
+// dropped, or every type node of the pair when it contains a reached
+// language. Otherwise the pair node is reseeded with the fresh build
+// and every type node under it is dropped. A warm re-match after
 // a single-article value edit therefore rebuilds only that article's
 // type artifacts — every other node reports a cache hit.
 //
 // The graph update is atomic: no concurrent request can observe the
 // new corpus paired with stale artifacts, and a delta cancelled by ctx
-// during the diff phase leaves corpus and cache untouched.
+// before the commit leaves corpus and cache untouched.
 func (s *Session) ApplyDelta(ctx context.Context, d wiki.Delta) (*DeltaResult, error) {
 	s.deltaMu.Lock()
 	defer s.deltaMu.Unlock()
@@ -76,20 +83,26 @@ func (s *Session) ApplyDelta(ctx context.Context, d wiki.Delta) (*DeltaResult, e
 		return nil, &deltaRejectedError{err}
 	}
 
-	// Diff phase (outside the engine lock, cancellable): rebuild the
-	// pair-level artifacts of every affected cached pair from the
-	// edited corpus and compare with the cached value. Pair builds are
-	// deterministic per corpus, so a concurrent rebuild of the same
-	// node cannot change the verdict.
+	// Diff phase (outside the engine lock, cancellable): decide for
+	// every affected cached pair whether its pair-level artifacts
+	// changed. A delta that is not structural cannot change them, so a
+	// cached pair node is kept as is. Otherwise the artifacts are
+	// rebuilt from the edited corpus and compared with the cached value.
+	// Pair builds are deterministic per corpus, so a concurrent rebuild
+	// of the same node cannot change the verdict.
 	type pairPlan struct {
 		pair  wiki.LanguagePair
 		fresh *pairData
 		equal bool
 	}
+	var reach map[wiki.Language]bool
+	if eff.Structural {
+		reach = typeReach(old.corpus, d)
+	}
 	touched := func(p wiki.LanguagePair) bool {
 		_, a := eff.Types[p.A]
 		_, b := eff.Types[p.B]
-		return a || b
+		return a || b || reach[p.A] || reach[p.B]
 	}
 	seen := make(map[wiki.LanguagePair]bool)
 	var plans []*pairPlan
@@ -99,21 +112,32 @@ func (s *Session) ApplyDelta(ctx context.Context, d wiki.Delta) (*DeltaResult, e
 				continue
 			}
 			seen[k.Pair] = true
+			pl := &pairPlan{pair: k.Pair}
+			plans = append(plans, pl)
+			v, cached := s.eng.Value(artifact.PairKey(k.Pair))
+			if cached && !eff.Structural {
+				pl.equal = true
+				continue
+			}
 			fresh, err := s.buildPairData(ctx, newCorpus, k.Pair)
 			if err != nil {
 				return nil, err
 			}
-			pl := &pairPlan{pair: k.Pair, fresh: fresh}
-			if v, ok := s.eng.Value(artifact.PairKey(k.Pair)); ok {
-				cached := v.(*pairData)
-				pl.equal = alignmentsEqual(cached.types, fresh.types) && cached.dict.Equal(fresh.dict)
+			pl.fresh = fresh
+			if cached {
+				prev := v.(*pairData)
+				pl.equal = alignmentsEqual(prev.types, fresh.types) && prev.dict.Equal(fresh.dict)
 			}
-			plans = append(plans, pl)
 		}
 	}
 	sort.Slice(plans, func(i, j int) bool { return plans[i].pair.String() < plans[j].pair.String() })
 	if s.deltaTestHook != nil {
 		s.deltaTestHook()
+	}
+	// A skipped diff never looked at ctx: a delta cancelled by now
+	// still leaves corpus and cache untouched.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	res := &DeltaResult{
@@ -139,8 +163,9 @@ func (s *Session) ApplyDelta(ctx context.Context, d wiki.Delta) (*DeltaResult, e
 		for _, pl := range plans {
 			pe := DeltaPairEffect{Pair: pl.pair}
 			if pl.equal {
+				all := reach[pl.pair.A] || reach[pl.pair.B]
 				for _, tk := range byPair[pl.pair] {
-					if eff.Types[pl.pair.A][tk.TypeA] || eff.Types[pl.pair.B][tk.TypeB] {
+					if all || eff.Types[pl.pair.A][tk.TypeA] || eff.Types[pl.pair.B][tk.TypeB] {
 						tx.Invalidate(tk)
 						pe.DroppedTypes = append(pe.DroppedTypes, [2]string{tk.TypeA, tk.TypeB})
 					}
@@ -182,6 +207,58 @@ func (s *Session) ApplyDelta(ctx context.Context, d wiki.Delta) (*DeltaResult, e
 	res.DroppedPairs = dropped[artifact.KindPair]
 	res.DroppedTypes = dropped[artifact.KindType]
 	return res, nil
+}
+
+// typeReach returns the languages in which a structural delta can
+// change the type artifacts of entity types it did not edit. Outside
+// the type pair's own articles, sim.BuildTypeData reads two things:
+//   - Corpus.Pairs, where an article gaining or losing its infobox can
+//     change the partner picked for an article linking to it;
+//   - sim.CanonicalLinkKey, which keys a link-valued attribute value by
+//     the English title its landing article resolves to. A changed
+//     cross-link rekeys the values linking to the edited article, and,
+//     when the edited article is English, the values linking to the
+//     articles it links to before or after the edit.
+//
+// The type nodes of every pair containing a returned language are
+// dropped. An addition or removal counts as an edit from or to an
+// article with no infobox and no links.
+func typeReach(c *wiki.Corpus, d wiki.Delta) map[wiki.Language]bool {
+	reach := make(map[wiki.Language]bool)
+	edit := func(lang wiki.Language, old, new *wiki.Article) {
+		var oldLinks, newLinks map[wiki.Language]string
+		oldBox, newBox := false, false
+		if old != nil {
+			oldLinks, oldBox = old.CrossLinks, old.Infobox != nil
+		}
+		if new != nil {
+			newLinks, newBox = new.CrossLinks, new.Infobox != nil
+		}
+		if oldBox != newBox {
+			reach[lang] = true
+		}
+		if maps.Equal(oldLinks, newLinks) {
+			return
+		}
+		reach[lang] = true
+		if lang == wiki.English {
+			for l := range oldLinks {
+				reach[l] = true
+			}
+			for l := range newLinks {
+				reach[l] = true
+			}
+		}
+	}
+	for _, a := range d.Upserts {
+		old, _ := c.Get(a.Language, a.Title)
+		edit(a.Language, old, a)
+	}
+	for _, k := range d.Removes {
+		old, _ := c.Get(k.Language, k.Title)
+		edit(k.Language, old, nil)
+	}
+	return reach
 }
 
 // deltaRejectedError marks a corpus-validation failure from

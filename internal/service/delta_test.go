@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/artifact"
@@ -381,6 +383,44 @@ func TestApplyDeltaErrorsLeaveSessionUntouched(t *testing.T) {
 	}
 	if after := s.CacheStats(); after != before {
 		t.Errorf("cancelled delta changed cache stats: %+v → %+v", before, after)
+	}
+}
+
+// TestTypeReach pins the languages whose type nodes a structural delta
+// drops beyond its edited types: an infobox gained or lost reaches its
+// own language, a cross-link change its own language and, for an
+// English article, every language it links to.
+func TestTypeReach(t *testing.T) {
+	c := wiki.NewCorpus()
+	c.MustAdd(&wiki.Article{Language: wiki.Portuguese, Title: "Alfa", Type: "filme",
+		Infobox: &wiki.Infobox{Template: "Infobox filme"}, CrossLinks: map[wiki.Language]string{wiki.English: "Alpha"}})
+	c.MustAdd(&wiki.Article{Language: wiki.English, Title: "Alpha", Type: "film",
+		Infobox: &wiki.Infobox{Template: "Infobox film"}, CrossLinks: map[wiki.Language]string{wiki.Vietnamese: "An Pha"}})
+	edit := func(lang wiki.Language, title string, change func(*wiki.Article)) wiki.Delta {
+		a, _ := c.Get(lang, title)
+		u := a.Clone()
+		change(u)
+		return wiki.Delta{Upserts: []*wiki.Article{u}}
+	}
+	cases := []struct {
+		name string
+		d    wiki.Delta
+		want []wiki.Language
+	}{
+		{"retype", edit(wiki.Portuguese, "Alfa", func(a *wiki.Article) { a.Type = "livro" }), nil},
+		{"infobox dropped", edit(wiki.English, "Alpha", func(a *wiki.Article) { a.Infobox = nil }), []wiki.Language{wiki.English}},
+		{"pt link retargeted", edit(wiki.Portuguese, "Alfa", func(a *wiki.Article) { a.SetCrossLink(wiki.English, "Beta") }),
+			[]wiki.Language{wiki.Portuguese}},
+		{"en link added", edit(wiki.English, "Alpha", func(a *wiki.Article) { a.SetCrossLink(wiki.Portuguese, "Alfa") }),
+			[]wiki.Language{wiki.English, wiki.Portuguese, wiki.Vietnamese}},
+		{"pt add, no links", wiki.Delta{Upserts: []*wiki.Article{{Language: wiki.Portuguese, Title: "Beta"}}}, nil},
+		{"pt remove", wiki.Delta{Removes: []wiki.Key{{Language: wiki.Portuguese, Title: "Alfa"}}}, []wiki.Language{wiki.Portuguese}},
+	}
+	for _, tc := range cases {
+		got := slices.Sorted(maps.Keys(typeReach(c, tc.d)))
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: reach = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -209,6 +211,199 @@ func TestMemoEqualsRebuild(t *testing.T) {
 	}
 	if kept == 0 || renewed == 0 {
 		t.Fatalf("delta sequence exercised %d kept and %d renewed memos; need both", kept, renewed)
+	}
+}
+
+// deltaKinds are the edits randomDelta draws. Every kind but "value" is
+// structural. The "type" kinds hit every article of one side of an
+// aligned pt-en type pair, so that the entity-type alignment changes.
+var deltaKinds = []string{
+	"value", "retype", "retype type", "link add", "link drop", "link retarget",
+	"drop infobox", "drop infobox type", "add", "remove",
+}
+
+// randomDelta draws a delta on distinct articles of c: the edit of the
+// given kind, then up to two value edits.
+func randomDelta(t *testing.T, rng *rand.Rand, c *wiki.Corpus, kind string, aligned [][2]string, next *int) wiki.Delta {
+	t.Helper()
+	var all []*wiki.Article
+	for _, l := range c.Languages() {
+		all = append(all, c.Articles(l)...)
+	}
+	used := make(map[wiki.Key]bool)
+	pick := func(ok func(*wiki.Article) bool) *wiki.Article {
+		for range 1000 {
+			if a := all[rng.Intn(len(all))]; !used[a.Key()] && ok(a) {
+				used[a.Key()] = true
+				return a
+			}
+		}
+		t.Fatal("no article left to edit")
+		return nil
+	}
+	other := func(a *wiki.Article, ok func(*wiki.Article) bool) *wiki.Article {
+		for range 1000 {
+			if b := all[rng.Intn(len(all))]; b != a && ok(b) {
+				return b
+			}
+		}
+		t.Fatal("no article to link to")
+		return nil
+	}
+	// alignedType returns every article of one side of an aligned pair.
+	alignedType := func() []*wiki.Article {
+		tp := aligned[rng.Intn(len(aligned))]
+		arts := c.OfType(wiki.Portuguese, tp[0])
+		if rng.Intn(2) == 0 {
+			arts = c.OfType(wiki.English, tp[1])
+		}
+		for _, a := range arts {
+			used[a.Key()] = true
+		}
+		return arts
+	}
+	hasAttrs := func(a *wiki.Article) bool { return a.Infobox != nil && a.Infobox.Len() > 0 }
+	hasLinks := func(a *wiki.Article) bool { return len(a.CrossLinks) > 0 }
+
+	var d wiki.Delta
+	upsert := func(u *wiki.Article) { d.Upserts = append(d.Upserts, u) }
+	retype := func(a *wiki.Article) {
+		u := a.Clone()
+		u.Type += " (renomeado)"
+		upsert(u)
+	}
+	dropInfobox := func(a *wiki.Article) {
+		u := a.Clone()
+		u.Infobox = nil
+		upsert(u)
+	}
+	switch kind {
+	case "retype":
+		retype(pick(func(a *wiki.Article) bool { return a.Type != "" }))
+	case "retype type":
+		for _, a := range alignedType() {
+			retype(a)
+		}
+	case "link add": // into a language not linked yet
+		u := pick(func(a *wiki.Article) bool { return len(a.CrossLinks) < len(c.Languages())-1 }).Clone()
+		b := other(u, func(b *wiki.Article) bool {
+			_, linked := u.CrossLinks[b.Language]
+			return b.Language != u.Language && !linked
+		})
+		u.SetCrossLink(b.Language, b.Title)
+		upsert(u)
+	case "link drop":
+		u := pick(hasLinks).Clone()
+		delete(u.CrossLinks, u.SortedCrossLinks()[0].Language)
+		upsert(u)
+	case "link retarget": // within the link's language
+		u := pick(hasLinks).Clone()
+		l := u.SortedCrossLinks()[0]
+		b := other(u, func(b *wiki.Article) bool { return b.Language == l.Language && b.Title != l.Title })
+		u.SetCrossLink(l.Language, b.Title)
+		upsert(u)
+	case "drop infobox":
+		dropInfobox(pick(func(a *wiki.Article) bool { return a.Infobox != nil }))
+	case "drop infobox type":
+		for _, a := range alignedType() {
+			dropInfobox(a)
+		}
+	case "add": // a copy of an infobox article under a new title
+		*next++
+		a := other(nil, hasAttrs).Clone()
+		a.Title = fmt.Sprintf("Novo %d", *next)
+		upsert(a)
+	case "remove":
+		d.Removes = append(d.Removes, pick(func(*wiki.Article) bool { return true }).Key())
+	}
+	values := rng.Intn(3)
+	if kind == "value" {
+		values++
+	}
+	for range values {
+		u := pick(hasAttrs).Clone()
+		u.Infobox.Attrs[rng.Intn(u.Infobox.Len())].Text += " (editado)"
+		upsert(u)
+	}
+	return d
+}
+
+// TestDeltaEqualsRebuild applies seeded random deltas that mix value
+// edits with every structural edit kind to one warm session. After each
+// delta, every cached pair node must equal a fresh build from the edited
+// corpus, and every serving path must answer byte-identically to a
+// fresh session on the same corpus. A delta that is not structural must
+// keep every pair node: no pair reports Rebuilt, the delta builds
+// nothing, and serving afterwards builds no pair node.
+func TestDeltaEqualsRebuild(t *testing.T) {
+	c := smallCorpus(t)
+	const singleType = "filme"
+	ctx := context.Background()
+	for seed := int64(1); seed <= 2; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			s := New(c)
+			servedOutputs(t, s, singleType) // warm every node and memo
+			rng := rand.New(rand.NewSource(seed))
+			next := 0
+			// Every edit kind once, value edits twice more, in random order.
+			kinds := append([]string{"value", "value"}, deltaKinds...)
+			rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
+			for step, kind := range kinds {
+				types, err := s.Types(ctx, wiki.PtEn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				aligned := slices.DeleteFunc(types, func(tp [2]string) bool { return tp[0] == singleType })
+				d := randomDelta(t, rng, s.Corpus(), kind, aligned, &next)
+				isStructural := kind != "value"
+				pairs := s.eng.Keys(artifact.KindPair)
+				builds := make(map[artifact.Key]uint64, len(pairs))
+				for _, k := range pairs {
+					builds[k] = s.eng.NodeStats(k).Builds
+				}
+				misses := s.CacheStats().Misses
+				res, err := s.ApplyDelta(ctx, d)
+				if err != nil {
+					t.Fatalf("step %d: ApplyDelta: %v", step, err)
+				}
+				if !isStructural {
+					for _, pe := range res.Pairs {
+						if pe.Rebuilt {
+							t.Errorf("step %d: value-only delta rebuilt %s", step, pe.Pair)
+						}
+					}
+					if got := s.CacheStats().Misses; got != misses {
+						t.Errorf("step %d: value-only delta built %d nodes", step, got-misses)
+					}
+				}
+				for _, k := range s.eng.Keys(artifact.KindPair) {
+					v, _ := s.eng.Value(k)
+					fresh, err := s.buildPairData(ctx, s.Corpus(), k.Pair)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pd := v.(*pairData); !alignmentsEqual(pd.types, fresh.types) || !pd.dict.Equal(fresh.dict) {
+						t.Errorf("step %d (structural %t): cached %s pair artifacts differ from a fresh build", step, isStructural, k.Pair)
+					}
+				}
+
+				got := servedOutputs(t, s, singleType)
+				want := servedOutputs(t, New(s.Corpus()), singleType)
+				for name, w := range want {
+					if got[name] != w {
+						t.Errorf("step %d (structural %t, %d upserts, %d removes): %s differs from a fresh session\n got %.300s\nwant %.300s",
+							step, isStructural, len(d.Upserts), len(d.Removes), name, got[name], w)
+					}
+				}
+				if !isStructural {
+					for k, n := range builds {
+						if b := s.eng.NodeStats(k).Builds; b != n {
+							t.Errorf("step %d: pair node %v rebuilt after a value-only delta (%d builds, was %d)", step, k.Pair, b, n)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

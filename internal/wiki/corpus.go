@@ -11,7 +11,10 @@ import (
 // indices the matching pipeline needs: lookup by title, grouping by entity
 // type, and resolution of cross-language links into article pairs.
 type Corpus struct {
-	byKey    map[Key]*Article
+	// byKey holds every article with its sequence number. Sequence
+	// numbers increase in insertion order, and every language and type
+	// list is in sequence order.
+	byKey    keyIndex[entry]
 	byLang   map[Language][]*Article
 	byType   map[Language]map[string][]*Article
 	langList []Language
@@ -19,18 +22,24 @@ type Corpus struct {
 	// K, incoming[K] lists articles that declare a cross-link to K. Each
 	// list is kept at cap == len, so corpora derived by WithDelta can
 	// share it and an append on either side always copies.
-	incoming map[Key][]Key
+	incoming keyIndex[[]Key]
+	// seq is the next article's sequence number.
+	seq uint64
 	// fp memoizes Fingerprint; nil until the first call.
 	fp atomic.Pointer[uint64]
+}
+
+// entry is an indexed article and its sequence number.
+type entry struct {
+	a   *Article
+	seq uint64
 }
 
 // NewCorpus returns an empty corpus ready for use.
 func NewCorpus() *Corpus {
 	return &Corpus{
-		byKey:    make(map[Key]*Article),
-		byLang:   make(map[Language][]*Article),
-		byType:   make(map[Language]map[string][]*Article),
-		incoming: make(map[Key][]Key),
+		byLang: make(map[Language][]*Article),
+		byType: make(map[Language]map[string][]*Article),
 	}
 }
 
@@ -41,10 +50,10 @@ func (c *Corpus) Add(a *Article) error {
 		return err
 	}
 	k := a.Key()
-	if _, dup := c.byKey[k]; dup {
+	if !c.byKey.insert(k, entry{a: a, seq: c.seq}) {
 		return fmt.Errorf("duplicate article %s", k)
 	}
-	c.byKey[k] = a
+	c.seq++
 	if _, seen := c.byLang[a.Language]; !seen {
 		c.langList = append(c.langList, a.Language)
 		sort.Slice(c.langList, func(i, j int) bool { return c.langList[i] < c.langList[j] })
@@ -60,7 +69,8 @@ func (c *Corpus) Add(a *Article) error {
 	}
 	for l, t := range a.CrossLinks {
 		target := Key{Language: l, Title: t}
-		c.incoming[target] = append(slices.Clip(c.incoming[target]), k)
+		list, _ := c.incoming.get(target)
+		c.incoming.set(target, append(slices.Clip(list), k))
 	}
 	if p := c.fp.Load(); p != nil {
 		fp := *p + a.digest()
@@ -73,7 +83,8 @@ func (c *Corpus) Add(a *Article) error {
 // a cross-language link to (lang, title). It complements Resolve for
 // links recorded only on the other side.
 func (c *Corpus) ReverseCrossLink(lang Language, title string, from Language) (string, bool) {
-	for _, k := range c.incoming[Key{Language: lang, Title: title}] {
+	list, _ := c.incoming.get(Key{Language: lang, Title: title})
+	for _, k := range list {
 		if k.Language == from {
 			return k.Title, true
 		}
@@ -91,8 +102,8 @@ func (c *Corpus) MustAdd(a *Article) {
 
 // Get returns the article with the given language and title.
 func (c *Corpus) Get(lang Language, title string) (*Article, bool) {
-	a, ok := c.byKey[Key{Language: lang, Title: title}]
-	return a, ok
+	en, ok := c.byKey.get(Key{Language: lang, Title: title})
+	return en.a, ok
 }
 
 // Languages returns the language editions present, sorted.
@@ -106,7 +117,7 @@ func (c *Corpus) Articles(lang Language) []*Article {
 }
 
 // Len returns the total number of articles across all languages.
-func (c *Corpus) Len() int { return len(c.byKey) }
+func (c *Corpus) Len() int { return c.byKey.n }
 
 // LenLang returns the number of articles in one language.
 func (c *Corpus) LenLang(lang Language) int { return len(c.byLang[lang]) }

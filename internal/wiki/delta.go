@@ -22,7 +22,10 @@ type Delta struct {
 }
 
 // DeltaEffect summarizes what a Delta changed, in the terms the
-// artifact cache needs for fine-grained invalidation.
+// artifact cache needs for fine-grained invalidation: which entity
+// types' article sets changed, and whether the pair-level artifacts
+// (the title dictionary and the entity-type alignment) can have
+// changed at all.
 type DeltaEffect struct {
 	Added, Updated, Removed int
 	// Types records, per language the delta touched, the entity types
@@ -32,6 +35,14 @@ type DeltaEffect struct {
 	// untyped article), because titles and cross-links still feed the
 	// pair-level dictionary.
 	Types map[Language]map[string]bool
+	// Structural reports that some edit could change a pair-level
+	// artifact: an addition, a removal, or an update that changes the
+	// article's Type, its CrossLinks (nil and empty count as equal) or
+	// whether it has an Infobox. Those are all the dictionary and the
+	// alignment read, so a delta that is not structural (infobox values
+	// and templates, categories) leaves both unchanged. Title is part of
+	// the key: a retitle is a removal plus an addition.
+	Structural bool
 }
 
 // Languages returns the languages the delta touched, sorted.
@@ -48,11 +59,16 @@ func (e *DeltaEffect) Languages() []Language {
 // corpus sharing the untouched article values (articles are immutable
 // throughout the pipeline) while c remains exactly as it was, so
 // readers holding c — including in-flight artifact builds — are never
-// disturbed. The new corpus copies only the index entries the edits
-// touch: the article lists of the edited languages and entity types and
-// the reverse cross-link lists of the changed links. Its Fingerprint is
-// c's adjusted by the edited articles' digests, so the cost of a delta
-// follows the size of the edit, not of the corpus.
+// disturbed. The key indexes (articles by key, reverse cross-links) are
+// split into a fixed number of shards: the new corpus copies the shard
+// array and clones only the shards the edits write to. It rewrites the
+// article list of each edited language and entity type from its old
+// list, placing each edited article by binary search on the sequence
+// numbers that keep every list in insertion order, and the reverse
+// cross-link lists of the changed links. Its Fingerprint is c's adjusted
+// by the edited articles' digests. A delta therefore costs its edit plus
+// a copy of the edited languages' and types' lists, not a pass over the
+// corpus.
 //
 // Per-language insertion order is preserved for surviving articles,
 // with replacements substituted in place and additions appended (in
@@ -91,7 +107,7 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 		if _, both := up[k]; both {
 			return nil, nil, fmt.Errorf("delta: %s both upserted and removed", k)
 		}
-		if _, ok := c.byKey[k]; !ok {
+		if _, ok := c.byKey.get(k); !ok {
 			return nil, nil, fmt.Errorf("delta: remove %s: %w", k, ErrNoSuchArticle)
 		}
 		rm[k] = true
@@ -99,24 +115,41 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 
 	// Pair every edit's old article with its new one: a removal has no
 	// new article, an addition no old one. Upserts are cloned so later
-	// mutations on the caller's side cannot reach into the corpus.
-	type edit struct{ old, new *Article }
+	// mutations on the caller's side cannot reach into the corpus. A
+	// replacement keeps its old article's sequence number, and so its
+	// place in every list; additions take fresh ones in key order, so
+	// they append after the surviving articles.
+	type edit struct {
+		old, new *Article
+		seq      uint64
+	}
 	edits := make([]edit, 0, len(d.Removes)+len(d.Upserts))
 	for _, k := range d.Removes {
-		edits = append(edits, edit{old: c.byKey[k]})
+		en, _ := c.byKey.get(k)
+		edits = append(edits, edit{old: en.a, seq: en.seq})
 	}
-	var added []*Article
+	var added []*edit
 	for _, a := range d.Upserts {
-		e := edit{old: c.byKey[a.Key()], new: a.Clone()}
-		if e.old == nil {
-			added = append(added, e.new)
+		en, ok := c.byKey.get(a.Key())
+		edits = append(edits, edit{old: en.a, new: a.Clone(), seq: en.seq})
+		if !ok {
+			added = append(added, &edits[len(edits)-1])
 		}
-		edits = append(edits, e)
 	}
-	// Additions append in key order, after the surviving articles.
-	slices.SortFunc(added, func(a, b *Article) int {
-		return cmp.Or(cmp.Compare(a.Language, b.Language), cmp.Compare(a.Title, b.Title))
+	slices.SortFunc(added, func(x, y *edit) int {
+		return cmp.Or(cmp.Compare(x.new.Language, y.new.Language), cmp.Compare(x.new.Title, y.new.Title))
 	})
+	out := &Corpus{
+		byKey:    c.byKey.share(),
+		byLang:   make(map[Language][]*Article, len(c.byLang)+1),
+		byType:   make(map[Language]map[string][]*Article, len(c.byType)+1),
+		incoming: c.incoming.share(),
+		seq:      c.seq,
+	}
+	for _, e := range added {
+		e.seq = out.seq
+		out.seq++
+	}
 
 	eff := &DeltaEffect{Types: make(map[Language]map[string]bool)}
 	touch := func(a *Article) {
@@ -129,15 +162,40 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 			tm[a.Type] = true
 		}
 	}
-	// Share every index entry, capped so an Add on either corpus copies
-	// instead of appending into the other's backing array. Inner type
-	// maps are cloned because Add writes into them.
-	out := &Corpus{
-		byKey:    maps.Clone(c.byKey),
-		byLang:   make(map[Language][]*Article, len(c.byLang)+1),
-		byType:   make(map[Language]map[string][]*Article, len(c.byType)+1),
-		incoming: maps.Clone(c.incoming),
+	fp := c.Fingerprint()
+	byLang := make(map[Language][]*edit)
+	for i := range edits {
+		e := &edits[i]
+		switch {
+		case e.old == nil:
+			eff.Added++
+			eff.Structural = true
+		case e.new == nil:
+			eff.Removed++
+			eff.Structural = true
+		default:
+			eff.Updated++
+			eff.Structural = eff.Structural || structuralUpdate(e.old, e.new)
+		}
+		lang := cmp.Or(e.old, e.new).Language
+		if e.old != nil {
+			touch(e.old)
+			fp -= e.old.digest()
+		}
+		if e.new != nil {
+			touch(e.new)
+			fp += e.new.digest()
+			out.byKey.set(e.new.Key(), entry{a: e.new, seq: e.seq})
+		} else {
+			out.byKey.delete(e.old.Key())
+		}
+		byLang[lang] = append(byLang[lang], e)
 	}
+	out.fp.Store(&fp)
+
+	// Share every untouched list, capped so an Add on either corpus
+	// copies instead of appending into the other's backing array. Inner
+	// type maps are cloned because Add writes into them.
 	for l, arts := range c.byLang {
 		out.byLang[l] = slices.Clip(arts)
 	}
@@ -149,56 +207,31 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 		out.byType[l] = cp
 	}
 
-	repl := make(map[*Article]*Article, len(edits)) // old → new, nil when removed
-	fp := c.Fingerprint()
-	for _, e := range edits {
-		switch {
-		case e.old == nil:
-			eff.Added++
-		case e.new == nil:
-			eff.Removed++
-		default:
-			eff.Updated++
-		}
-		if e.old != nil {
-			touch(e.old)
-			repl[e.old] = e.new
-			delete(out.byKey, e.old.Key())
-			fp -= e.old.digest()
-		}
-		if e.new != nil {
-			touch(e.new)
-			out.byKey[e.new.Key()] = e.new
-			fp += e.new.digest()
-		}
-	}
-	out.fp.Store(&fp)
-
-	// Rewrite the article lists of each touched language, and within it
-	// the lists of the touched types.
-	for lang, types := range eff.Types {
-		old := c.byLang[lang]
-		arts := make([]*Article, 0, len(old)+len(added))
-		for _, a := range old {
-			if n, ok := repl[a]; ok {
-				if n == nil {
-					continue
-				}
-				a = n
-			}
-			arts = append(arts, a)
-		}
-		for _, a := range added {
-			if a.Language == lang {
-				arts = append(arts, a)
+	// Rewrite the list of each edited language and type: replacements
+	// substitute in place, removals drop out, additions and articles
+	// retyped into a type are inserted at their sequence number.
+	isNil := func(a *Article) bool { return a == nil }
+	for lang, es := range byLang {
+		slices.SortFunc(es, func(x, y *edit) int { return cmp.Compare(x.seq, y.seq) })
+		oldArts := c.byLang[lang]
+		arts := make([]*Article, len(oldArts), len(oldArts)+len(es))
+		copy(arts, oldArts)
+		for _, e := range es {
+			if e.old == nil {
+				arts = append(arts, e.new)
+			} else {
+				arts[c.position(oldArts, e.seq)] = e.new
 			}
 		}
+		arts = slices.DeleteFunc(arts, isNil)
 		if len(arts) == 0 {
 			delete(out.byLang, lang)
 			delete(out.byType, lang)
 			continue
 		}
 		out.byLang[lang] = slices.Clip(arts)
+
+		types := eff.Types[lang]
 		if len(types) == 0 {
 			continue
 		}
@@ -208,11 +241,30 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 			out.byType[lang] = tm
 		}
 		for t := range types {
-			delete(tm, t)
-		}
-		for _, a := range arts {
-			if types[a.Type] {
-				tm[a.Type] = append(tm[a.Type], a)
+			oldList := c.byType[lang][t]
+			list := make([]*Article, len(oldList), len(oldList)+len(es))
+			copy(list, oldList)
+			var entering []*edit
+			for _, e := range es {
+				was := e.old != nil && e.old.Type == t
+				is := e.new != nil && e.new.Type == t
+				switch {
+				case was && is:
+					list[c.position(oldList, e.seq)] = e.new
+				case was:
+					list[c.position(oldList, e.seq)] = nil
+				case is:
+					entering = append(entering, e)
+				}
+			}
+			list = slices.DeleteFunc(list, isNil)
+			for _, e := range entering {
+				list = slices.Insert(list, out.position(list, e.seq), e.new)
+			}
+			if len(list) == 0 {
+				delete(tm, t)
+			} else {
+				tm[t] = slices.Clip(list)
 			}
 		}
 		if len(tm) == 0 {
@@ -244,6 +296,16 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 	return out, eff, nil
 }
 
+// structuralUpdate reports whether replacing old with new (same key)
+// could change a pair-level artifact: the dictionary reads titles and
+// cross-links, the entity-type alignment types, cross-links and which
+// articles carry an infobox.
+func structuralUpdate(old, new *Article) bool {
+	return old.Type != new.Type ||
+		(old.Infobox == nil) != (new.Infobox == nil) ||
+		!maps.Equal(old.CrossLinks, new.CrossLinks)
+}
+
 // linksTo reports whether a (which may be nil) cross-links to title in
 // lang.
 func linksTo(a *Article, lang Language, title string) bool {
@@ -257,44 +319,48 @@ func linksTo(a *Article, lang Language, title string) bool {
 // unlinkIncoming removes k from the reverse cross-link list of target,
 // copying the list.
 func (c *Corpus) unlinkIncoming(target, k Key) {
-	list := slices.DeleteFunc(slices.Clone(c.incoming[target]), func(x Key) bool { return x == k })
+	list, _ := c.incoming.get(target)
+	list = slices.DeleteFunc(slices.Clone(list), func(x Key) bool { return x == k })
 	if len(list) == 0 {
-		delete(c.incoming, target)
+		c.incoming.delete(target)
 		return
 	}
-	c.incoming[target] = slices.Clip(list)
+	c.incoming.set(target, slices.Clip(list))
 }
 
 // linkIncoming adds k to the reverse cross-link list of target, copying
-// the list. Entries from k's language stay in that language's article
-// order, which is the order a corpus built by Add would list them in:
-// ReverseCrossLink returns the first of them.
+// the list. Entries from k's language stay in sequence order, which is
+// the order a corpus built by Add would list them in: ReverseCrossLink
+// returns the first of them.
 func (c *Corpus) linkIncoming(target, k Key) {
-	list := append(slices.Clip(c.incoming[target]), k)
+	list, _ := c.incoming.get(target)
+	list = append(slices.Clip(list), k)
 	var slots []int
+	var same []Key
 	for i, x := range list {
 		if x.Language == k.Language {
 			slots = append(slots, i)
+			same = append(same, x)
 		}
 	}
-	if len(slots) > 1 {
-		pos := make(map[Key]int, len(slots))
-		for _, i := range slots {
-			pos[list[i]] = 0
-		}
-		for i, a := range c.byLang[k.Language] {
-			if _, ok := pos[a.Key()]; ok {
-				pos[a.Key()] = i
-			}
-		}
-		same := make([]Key, len(slots))
-		for j, i := range slots {
-			same[j] = list[i]
-		}
-		slices.SortFunc(same, func(x, y Key) int { return pos[x] - pos[y] })
-		for j, i := range slots {
-			list[i] = same[j]
-		}
+	slices.SortFunc(same, func(x, y Key) int { return cmp.Compare(c.seqOf(x), c.seqOf(y)) })
+	for j, i := range slots {
+		list[i] = same[j]
 	}
-	c.incoming[target] = slices.Clip(list)
+	c.incoming.set(target, slices.Clip(list))
+}
+
+// seqOf returns the sequence number of the article with key k.
+func (c *Corpus) seqOf(k Key) uint64 {
+	en, _ := c.byKey.get(k)
+	return en.seq
+}
+
+// position returns the index in list, articles of c in sequence order,
+// of the first one whose sequence number is at least seq.
+func (c *Corpus) position(list []*Article, seq uint64) int {
+	i, _ := slices.BinarySearchFunc(list, seq, func(a *Article, seq uint64) int {
+		return cmp.Compare(c.seqOf(a.Key()), seq)
+	})
+	return i
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/synth"
@@ -273,9 +274,14 @@ func inverse(before *wiki.Corpus, d wiki.Delta) wiki.Delta {
 	return inv
 }
 
-// wantEffect is the DeltaEffect d must report against m: counts, and
-// per touched language the union of old and new types, untyped excluded.
+// wantEffect is the DeltaEffect d must report against m: counts, per
+// touched language the union of old and new types (untyped excluded),
+// and structural when an edit adds, removes, or changes what the
+// pair-level artifacts read of an article.
 func wantEffect(m model, d wiki.Delta) wiki.DeltaEffect {
+	pairInputs := func(a *wiki.Article) string {
+		return fmt.Sprintf("type=%q infobox=%t links=%v", a.Type, a.Infobox != nil, a.SortedCrossLinks())
+	}
 	eff := wiki.DeltaEffect{Types: make(map[wiki.Language]map[string]bool)}
 	touch := func(a *wiki.Article) {
 		if eff.Types[a.Language] == nil {
@@ -288,14 +294,17 @@ func wantEffect(m model, d wiki.Delta) wiki.DeltaEffect {
 	for _, a := range d.Upserts {
 		if old := m.get(a.Key()); old != nil {
 			eff.Updated++
+			eff.Structural = eff.Structural || pairInputs(old) != pairInputs(a)
 			touch(old)
 		} else {
 			eff.Added++
+			eff.Structural = true
 		}
 		touch(a)
 	}
 	for _, k := range d.Removes {
 		eff.Removed++
+		eff.Structural = true
 		touch(m.get(k))
 	}
 	return eff
@@ -443,5 +452,53 @@ func TestWithDeltaNoAliasing(t *testing.T) {
 	}
 	if got, want := parent.Fingerprint(), modelOf(parent).rebuild().Fingerprint(); got != want {
 		t.Errorf("parent fingerprint after Add = %016x, fresh computation %016x", got, want)
+	}
+}
+
+// TestWithDeltaConcurrent derives children from one parent on several
+// goroutines at once while others read the parent: deriving freezes the
+// parent's shared index shards, which must not race with readers or
+// with another derivation. Each child carries exactly its own edit and
+// the parent none.
+func TestWithDeltaConcurrent(t *testing.T) {
+	parent := smallCorpus(t)
+	parent.Fingerprint()
+	probe := targets(modelOf(parent))
+	want := view(parent, probe)
+	var edits []*wiki.Article
+	for _, l := range parent.Languages() {
+		for _, a := range parent.Articles(l) {
+			if a.Infobox != nil && a.Infobox.Len() > 0 && len(edits) < 4 {
+				u := a.Clone()
+				u.Infobox.Attrs[0].Text += " (editado)"
+				edits = append(edits, u)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for _, u := range edits {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			child, _, err := parent.WithDelta(wiki.Delta{Upserts: []*wiki.Article{u}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got, _ := child.Get(u.Language, u.Title)
+			if got.Infobox.Attrs[0].Text != u.Infobox.Attrs[0].Text || child.Len() != parent.Len() {
+				t.Errorf("child of the %s edit does not carry it", u.Key())
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if got := view(parent, probe); got != want {
+				t.Errorf("parent changed under concurrent derivation: %s", diffLine(got, want))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := view(parent, probe); got != want {
+		t.Fatalf("parent changed by derivation: %s", diffLine(got, want))
 	}
 }

@@ -170,6 +170,51 @@ func TestWithDeltaTypeChangeTouchesBoth(t *testing.T) {
 	}
 }
 
+// TestWithDeltaStructural pins which edits DeltaEffect.Structural
+// reports: those that can change the title dictionary or the entity-type
+// alignment, i.e. add or remove an article or change its type, its
+// cross-links or whether it has an infobox.
+func TestWithDeltaStructural(t *testing.T) {
+	c := deltaCorpus(t)
+	c.MustAdd(&Article{Language: Portuguese, Title: "Delta"}) // no infobox, nil links
+	edit := func(title string, change func(*Article)) Delta {
+		a, _ := c.Get(Portuguese, title)
+		u := a.Clone()
+		change(u)
+		return Delta{Upserts: []*Article{u}}
+	}
+	cases := []struct {
+		name string
+		d    Delta
+		want bool
+	}{
+		{"value only", edit("Alfa", func(a *Article) { a.Infobox.Attrs[0].Text = "Alfa (editado)" }), false},
+		{"template only", edit("Alfa", func(a *Article) { a.Infobox.Template = "Infobox cinema" }), false},
+		{"categories only", edit("Alfa", func(a *Article) { a.Categories = []string{"Editado"} }), false},
+		{"nil to empty cross-links", edit("Delta", func(a *Article) { a.CrossLinks = map[Language]string{} }), false},
+		{"type change", edit("Alfa", func(a *Article) { a.Type = "livro" }), true},
+		{"infobox removed", edit("Alfa", func(a *Article) { a.Infobox = nil }), true},
+		{"infobox added", edit("Delta", func(a *Article) { a.Infobox = &Infobox{Template: "Infobox filme"} }), true},
+		{"cross-link added", edit("Carlos", func(a *Article) { a.SetCrossLink(English, "Charles") }), true},
+		{"cross-link removed", edit("Alfa", func(a *Article) { delete(a.CrossLinks, English) }), true},
+		{"cross-link retargeted", edit("Alfa", func(a *Article) { a.SetCrossLink(English, "Bravo") }), true},
+		{"add", Delta{Upserts: []*Article{{Language: Portuguese, Title: "Eco"}}}, true},
+		{"remove", Delta{Removes: []Key{{Language: Portuguese, Title: "Delta"}}}, true},
+		{"value edit and add", Delta{
+			Upserts: append(edit("Bravo", func(a *Article) { a.Infobox.Attrs[0].Text = "x" }).Upserts,
+				&Article{Language: Portuguese, Title: "Eco"})}, true},
+	}
+	for _, tc := range cases {
+		_, eff, err := c.WithDelta(tc.d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if eff.Structural != tc.want {
+			t.Errorf("%s: Structural = %t, want %t", tc.name, eff.Structural, tc.want)
+		}
+	}
+}
+
 func TestWithDeltaErrors(t *testing.T) {
 	c := deltaCorpus(t)
 	upd := c.Articles(Portuguese)[0].Clone()
