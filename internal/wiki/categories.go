@@ -17,9 +17,11 @@ type CategoryTypeMap map[Language]map[string]string
 // AssignTypesFromCategories fills in the Type of every article that has
 // none, using its categories and the mapping. It returns how many
 // articles were typed. Articles typed this way are also added to the
-// corpus's type index. It edits articles in place, so it belongs to
-// building a corpus, before any corpus derived from it by WithDelta
-// shares those articles; it does drop this corpus's Fingerprint memo.
+// corpus's type index, whose lists stay in language order as if the
+// articles had been added with their types. It edits articles in place,
+// so it belongs to building a corpus, before any corpus derived from it
+// by WithDelta shares those articles; it does drop this corpus's
+// Fingerprint memo.
 func (c *Corpus) AssignTypesFromCategories(m CategoryTypeMap) int {
 	n := 0
 	for _, lang := range c.Languages() {
@@ -27,24 +29,36 @@ func (c *Corpus) AssignTypesFromCategories(m CategoryTypeMap) int {
 		if langMap == nil {
 			continue
 		}
+		typed := make(map[string]bool)
 		for _, a := range c.Articles(lang) {
 			if a.Type != "" {
 				continue
 			}
 			for _, cat := range a.Categories {
-				typ, ok := langMap[cat]
-				if !ok {
-					continue
+				if typ, ok := langMap[cat]; ok {
+					a.Type = typ
+					typed[typ] = true
+					n++
+					break
 				}
-				a.Type = typ
-				tm := c.byType[lang]
-				if tm == nil {
-					tm = make(map[string][]*Article)
-					c.byType[lang] = tm
-				}
-				tm[typ] = append(tm[typ], a)
-				n++
-				break
+			}
+		}
+		if len(typed) == 0 {
+			continue
+		}
+		// Relist each type that gained articles from the language list,
+		// so template- and category-typed articles interleave in order.
+		tm := c.byType[lang]
+		if tm == nil {
+			tm = make(map[string][]*Article)
+			c.byType[lang] = tm
+		}
+		for typ := range typed {
+			delete(tm, typ)
+		}
+		for _, a := range c.Articles(lang) {
+			if typed[a.Type] {
+				tm[a.Type] = append(tm[a.Type], a)
 			}
 		}
 	}

@@ -11,11 +11,10 @@ import (
 // indices the matching pipeline needs: lookup by title, grouping by entity
 // type, and resolution of cross-language links into article pairs.
 type Corpus struct {
-	// byKey holds every article with its sequence number. Sequence
-	// numbers increase in insertion order, and every language and type
-	// list is in sequence order.
-	byKey    keyIndex[entry]
-	byLang   map[Language][]*Article
+	byKey  keyIndex[*Article]
+	byLang map[Language][]*Article
+	// byType lists each language's articles by entity type, each list in
+	// the language list's order.
 	byType   map[Language]map[string][]*Article
 	langList []Language
 	// incoming indexes reverse cross-language links: for an article key
@@ -23,16 +22,8 @@ type Corpus struct {
 	// list is kept at cap == len, so corpora derived by WithDelta can
 	// share it and an append on either side always copies.
 	incoming keyIndex[[]Key]
-	// seq is the next article's sequence number.
-	seq uint64
 	// fp memoizes Fingerprint; nil until the first call.
 	fp atomic.Pointer[uint64]
-}
-
-// entry is an indexed article and its sequence number.
-type entry struct {
-	a   *Article
-	seq uint64
 }
 
 // NewCorpus returns an empty corpus ready for use.
@@ -50,10 +41,9 @@ func (c *Corpus) Add(a *Article) error {
 		return err
 	}
 	k := a.Key()
-	if !c.byKey.insert(k, entry{a: a, seq: c.seq}) {
+	if !c.byKey.insert(k, a) {
 		return fmt.Errorf("duplicate article %s", k)
 	}
-	c.seq++
 	if _, seen := c.byLang[a.Language]; !seen {
 		c.langList = append(c.langList, a.Language)
 		sort.Slice(c.langList, func(i, j int) bool { return c.langList[i] < c.langList[j] })
@@ -102,8 +92,7 @@ func (c *Corpus) MustAdd(a *Article) {
 
 // Get returns the article with the given language and title.
 func (c *Corpus) Get(lang Language, title string) (*Article, bool) {
-	en, ok := c.byKey.get(Key{Language: lang, Title: title})
-	return en.a, ok
+	return c.byKey.get(Key{Language: lang, Title: title})
 }
 
 // Languages returns the language editions present, sorted.

@@ -61,14 +61,13 @@ func (e *DeltaEffect) Languages() []Language {
 // readers holding c — including in-flight artifact builds — are never
 // disturbed. The key indexes (articles by key, reverse cross-links) are
 // split into a fixed number of shards: the new corpus copies the shard
-// array and clones only the shards the edits write to. It rewrites the
-// article list of each edited language and entity type from its old
-// list, placing each edited article by binary search on the sequence
-// numbers that keep every list in insertion order, and the reverse
-// cross-link lists of the changed links. Its Fingerprint is c's adjusted
-// by the edited articles' digests. A delta therefore costs its edit plus
-// a copy of the edited languages' and types' lists, not a pass over the
-// corpus.
+// array and clones only the shards the edits write to. The article list
+// of each edited language and entity type is copied from its old list
+// with the edited articles swapped in place; a type list an article
+// enters (an addition or a retype) is relisted from its language. Its
+// Fingerprint is c's adjusted by the edited articles' digests. A value
+// edit therefore costs a copy of its language's and type's article
+// lists, not a pass over the corpus.
 //
 // Per-language insertion order is preserved for surviving articles,
 // with replacements substituted in place and additions appended (in
@@ -115,41 +114,26 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 
 	// Pair every edit's old article with its new one: a removal has no
 	// new article, an addition no old one. Upserts are cloned so later
-	// mutations on the caller's side cannot reach into the corpus. A
-	// replacement keeps its old article's sequence number, and so its
-	// place in every list; additions take fresh ones in key order, so
-	// they append after the surviving articles.
-	type edit struct {
-		old, new *Article
-		seq      uint64
-	}
+	// mutations on the caller's side cannot reach into the corpus.
+	type edit struct{ old, new *Article }
 	edits := make([]edit, 0, len(d.Removes)+len(d.Upserts))
 	for _, k := range d.Removes {
-		en, _ := c.byKey.get(k)
-		edits = append(edits, edit{old: en.a, seq: en.seq})
+		old, _ := c.byKey.get(k)
+		edits = append(edits, edit{old: old})
 	}
-	var added []*edit
+	var added []*Article
 	for _, a := range d.Upserts {
-		en, ok := c.byKey.get(a.Key())
-		edits = append(edits, edit{old: en.a, new: a.Clone(), seq: en.seq})
-		if !ok {
-			added = append(added, &edits[len(edits)-1])
+		old, _ := c.byKey.get(a.Key())
+		e := edit{old: old, new: a.Clone()}
+		if e.old == nil {
+			added = append(added, e.new)
 		}
+		edits = append(edits, e)
 	}
-	slices.SortFunc(added, func(x, y *edit) int {
-		return cmp.Or(cmp.Compare(x.new.Language, y.new.Language), cmp.Compare(x.new.Title, y.new.Title))
+	// Additions append in key order, after the surviving articles.
+	slices.SortFunc(added, func(a, b *Article) int {
+		return cmp.Or(cmp.Compare(a.Language, b.Language), cmp.Compare(a.Title, b.Title))
 	})
-	out := &Corpus{
-		byKey:    c.byKey.share(),
-		byLang:   make(map[Language][]*Article, len(c.byLang)+1),
-		byType:   make(map[Language]map[string][]*Article, len(c.byType)+1),
-		incoming: c.incoming.share(),
-		seq:      c.seq,
-	}
-	for _, e := range added {
-		e.seq = out.seq
-		out.seq++
-	}
 
 	eff := &DeltaEffect{Types: make(map[Language]map[string]bool)}
 	touch := func(a *Article) {
@@ -162,10 +146,15 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 			tm[a.Type] = true
 		}
 	}
+	out := &Corpus{
+		byKey:    c.byKey.share(),
+		byLang:   make(map[Language][]*Article, len(c.byLang)+1),
+		byType:   make(map[Language]map[string][]*Article, len(c.byType)+1),
+		incoming: c.incoming.share(),
+	}
+	repl := make(map[Language]map[*Article]*Article) // old → new, nil when removed
 	fp := c.Fingerprint()
-	byLang := make(map[Language][]*edit)
-	for i := range edits {
-		e := &edits[i]
+	for _, e := range edits {
 		switch {
 		case e.old == nil:
 			eff.Added++
@@ -177,19 +166,21 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 			eff.Updated++
 			eff.Structural = eff.Structural || structuralUpdate(e.old, e.new)
 		}
-		lang := cmp.Or(e.old, e.new).Language
 		if e.old != nil {
 			touch(e.old)
 			fp -= e.old.digest()
+			if repl[e.old.Language] == nil {
+				repl[e.old.Language] = make(map[*Article]*Article)
+			}
+			repl[e.old.Language][e.old] = e.new
 		}
 		if e.new != nil {
 			touch(e.new)
 			fp += e.new.digest()
-			out.byKey.set(e.new.Key(), entry{a: e.new, seq: e.seq})
+			out.byKey.set(e.new.Key(), e.new)
 		} else {
 			out.byKey.delete(e.old.Key())
 		}
-		byLang[lang] = append(byLang[lang], e)
 	}
 	out.fp.Store(&fp)
 
@@ -207,31 +198,21 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 		out.byType[l] = cp
 	}
 
-	// Rewrite the list of each edited language and type: replacements
-	// substitute in place, removals drop out, additions and articles
-	// retyped into a type are inserted at their sequence number.
-	isNil := func(a *Article) bool { return a == nil }
-	for lang, es := range byLang {
-		slices.SortFunc(es, func(x, y *edit) int { return cmp.Compare(x.seq, y.seq) })
-		oldArts := c.byLang[lang]
-		arts := make([]*Article, len(oldArts), len(oldArts)+len(es))
-		copy(arts, oldArts)
-		for _, e := range es {
-			if e.old == nil {
-				arts = append(arts, e.new)
-			} else {
-				arts[c.position(oldArts, e.seq)] = e.new
+	// Rewrite the list of each touched language, and within it the
+	// lists of the touched types.
+	for lang, types := range eff.Types {
+		arts := replaced(c.byLang[lang], repl[lang])
+		for _, a := range added {
+			if a.Language == lang {
+				arts = append(arts, a)
 			}
 		}
-		arts = slices.DeleteFunc(arts, isNil)
 		if len(arts) == 0 {
 			delete(out.byLang, lang)
 			delete(out.byType, lang)
 			continue
 		}
 		out.byLang[lang] = slices.Clip(arts)
-
-		types := eff.Types[lang]
 		if len(types) == 0 {
 			continue
 		}
@@ -241,25 +222,32 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 			out.byType[lang] = tm
 		}
 		for t := range types {
-			oldList := c.byType[lang][t]
-			list := make([]*Article, len(oldList), len(oldList)+len(es))
-			copy(list, oldList)
-			var entering []*edit
-			for _, e := range es {
-				was := e.old != nil && e.old.Type == t
-				is := e.new != nil && e.new.Type == t
+			// Articles that stay in t are swapped in place and those
+			// that leave drop out; one that enters has no old slot, so
+			// the list is relisted from the language.
+			typeRepl := make(map[*Article]*Article)
+			entering := false
+			for _, e := range edits {
+				was := e.old != nil && e.old.Language == lang && e.old.Type == t
+				is := e.new != nil && e.new.Language == lang && e.new.Type == t
 				switch {
 				case was && is:
-					list[c.position(oldList, e.seq)] = e.new
+					typeRepl[e.old] = e.new
 				case was:
-					list[c.position(oldList, e.seq)] = nil
+					typeRepl[e.old] = nil
 				case is:
-					entering = append(entering, e)
+					entering = true
 				}
 			}
-			list = slices.DeleteFunc(list, isNil)
-			for _, e := range entering {
-				list = slices.Insert(list, out.position(list, e.seq), e.new)
+			var list []*Article
+			if entering {
+				for _, a := range arts {
+					if a.Type == t {
+						list = append(list, a)
+					}
+				}
+			} else {
+				list = replaced(c.byType[lang][t], typeRepl)
 			}
 			if len(list) == 0 {
 				delete(tm, t)
@@ -296,6 +284,31 @@ func (c *Corpus) WithDelta(d Delta) (*Corpus, *DeltaEffect, error) {
 	return out, eff, nil
 }
 
+// scanEdits is the batch size up to which replaced finds each edited
+// article by a pointer scan of the list; larger batches look every
+// article up in the edit map instead, one pass whatever the batch.
+const scanEdits = 16
+
+// replaced returns a copy of list with each article that is a key of
+// repl swapped for its value, or dropped when the value is nil.
+func replaced(list []*Article, repl map[*Article]*Article) []*Article {
+	out := slices.Clone(list)
+	if len(repl) <= scanEdits {
+		for old, n := range repl {
+			if i := slices.Index(out, old); i >= 0 {
+				out[i] = n
+			}
+		}
+	} else {
+		for i, a := range out {
+			if n, ok := repl[a]; ok {
+				out[i] = n
+			}
+		}
+	}
+	return slices.DeleteFunc(out, func(a *Article) bool { return a == nil })
+}
+
 // structuralUpdate reports whether replacing old with new (same key)
 // could change a pair-level artifact: the dictionary reads titles and
 // cross-links, the entity-type alignment types, cross-links and which
@@ -329,38 +342,36 @@ func (c *Corpus) unlinkIncoming(target, k Key) {
 }
 
 // linkIncoming adds k to the reverse cross-link list of target, copying
-// the list. Entries from k's language stay in sequence order, which is
-// the order a corpus built by Add would list them in: ReverseCrossLink
-// returns the first of them.
+// the list. Entries from k's language stay in that language's article
+// order, which is the order a corpus built by Add would list them in:
+// ReverseCrossLink returns the first of them.
 func (c *Corpus) linkIncoming(target, k Key) {
 	list, _ := c.incoming.get(target)
 	list = append(slices.Clip(list), k)
 	var slots []int
-	var same []Key
 	for i, x := range list {
 		if x.Language == k.Language {
 			slots = append(slots, i)
-			same = append(same, x)
 		}
 	}
-	slices.SortFunc(same, func(x, y Key) int { return cmp.Compare(c.seqOf(x), c.seqOf(y)) })
-	for j, i := range slots {
-		list[i] = same[j]
+	if len(slots) > 1 {
+		pos := make(map[Key]int, len(slots))
+		for _, i := range slots {
+			pos[list[i]] = 0
+		}
+		for i, a := range c.byLang[k.Language] {
+			if _, ok := pos[a.Key()]; ok {
+				pos[a.Key()] = i
+			}
+		}
+		same := make([]Key, len(slots))
+		for j, i := range slots {
+			same[j] = list[i]
+		}
+		slices.SortFunc(same, func(x, y Key) int { return pos[x] - pos[y] })
+		for j, i := range slots {
+			list[i] = same[j]
+		}
 	}
 	c.incoming.set(target, slices.Clip(list))
-}
-
-// seqOf returns the sequence number of the article with key k.
-func (c *Corpus) seqOf(k Key) uint64 {
-	en, _ := c.byKey.get(k)
-	return en.seq
-}
-
-// position returns the index in list, articles of c in sequence order,
-// of the first one whose sequence number is at least seq.
-func (c *Corpus) position(list []*Article, seq uint64) int {
-	i, _ := slices.BinarySearchFunc(list, seq, func(a *Article, seq uint64) int {
-		return cmp.Compare(c.seqOf(a.Key()), seq)
-	})
-	return i
 }

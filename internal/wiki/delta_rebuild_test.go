@@ -358,38 +358,89 @@ func smallCorpus(t *testing.T) *wiki.Corpus {
 	return c
 }
 
+// categoryTyped copies c with every third typed article's type
+// cleared and recorded as a category instead, then types those articles
+// back with AssignTypesFromCategories, so each type list mixes
+// template-typed and category-typed articles.
+func categoryTyped(t *testing.T, c *wiki.Corpus) *wiki.Corpus {
+	t.Helper()
+	out := wiki.NewCorpus()
+	cats := wiki.CategoryTypeMap{}
+	n := 0
+	for _, l := range c.Languages() {
+		cats[l] = make(map[string]string)
+		for _, a := range c.Articles(l) {
+			a = a.Clone()
+			if a.Type != "" {
+				if n++; n%3 == 0 {
+					cat := "Tipo " + a.Type
+					cats[l][cat] = a.Type
+					a.Categories = append(a.Categories, cat)
+					a.Type = ""
+				}
+			}
+			out.MustAdd(a)
+		}
+	}
+	if got := out.AssignTypesFromCategories(cats); got != n/3 {
+		t.Fatalf("AssignTypesFromCategories typed %d articles, want %d", got, n/3)
+	}
+	return out
+}
+
 // TestWithDeltaEqualsRebuild: after every step of seeded random delta
 // sequences, the copy-on-write corpus answers every accessor exactly as
 // a corpus built from scratch with the same articles in the same order,
 // its incremental fingerprint equals the rebuild's, and undoing a step
-// restores the previous fingerprint.
+// restores the previous fingerprint. The sequences start both from a
+// synth corpus and from one whose type lists mix template-typed and
+// category-typed articles.
 func TestWithDeltaEqualsRebuild(t *testing.T) {
-	base := smallCorpus(t)
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			c, m, next := base, modelOf(base), 0
-			for step := 0; step < 30; step++ {
-				g := &deltaGen{rng: rng, c: c, used: make(map[wiki.Key]bool), next: &next}
-				for _, l := range c.Languages() {
-					g.all = append(g.all, c.Articles(l)...)
-				}
-				var d wiki.Delta
-				for n := 1 + rng.Intn(3); len(d.Upserts)+len(d.Removes) < n; {
-					g.edit(&d)
-				}
-				before := c.Fingerprint()
-				out, outModel := applyChecked(t, c, m, d)
-				if rng.Intn(3) == 0 {
-					back, backModel := applyChecked(t, out, outModel, inverse(c, d))
-					if back.Fingerprint() != before {
-						t.Fatalf("step %d: restore gave fingerprint %016x, want %016x", step, back.Fingerprint(), before)
+	synthBase := smallCorpus(t)
+	bases := []struct {
+		name string // subtest prefix
+		c    *wiki.Corpus
+	}{
+		{"", synthBase},
+		{"category-typed/", categoryTyped(t, synthBase)},
+	}
+	for _, base := range bases {
+		probe := targets(modelOf(base.c))
+		if got, want := view(base.c, probe), view(modelOf(base.c).rebuild(), probe); got != want {
+			t.Fatalf("%scorpus differs from its rebuild before any delta: %s", base.name, diffLine(got, want))
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%sseed%d", base.name, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				c, m, next := base.c, modelOf(base.c), 0
+				for step := 0; step < 30; step++ {
+					g := &deltaGen{rng: rng, c: c, used: make(map[wiki.Key]bool), next: &next}
+					for _, l := range c.Languages() {
+						g.all = append(g.all, c.Articles(l)...)
 					}
-					out, outModel = back, backModel
+					// Every tenth delta is a batch large enough to take
+					// WithDelta's map pass instead of pointer scans.
+					n := 1 + rng.Intn(3)
+					if step%10 == 9 {
+						n = 60
+					}
+					var d wiki.Delta
+					for len(d.Upserts)+len(d.Removes) < n {
+						g.edit(&d)
+					}
+					before := c.Fingerprint()
+					out, outModel := applyChecked(t, c, m, d)
+					if rng.Intn(3) == 0 {
+						back, backModel := applyChecked(t, out, outModel, inverse(c, d))
+						if back.Fingerprint() != before {
+							t.Fatalf("step %d: restore gave fingerprint %016x, want %016x", step, back.Fingerprint(), before)
+						}
+						out, outModel = back, backModel
+					}
+					c, m = out, outModel
 				}
-				c, m = out, outModel
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package wiki
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -243,5 +244,51 @@ func TestWithDeltaErrors(t *testing.T) {
 	// A rejected delta leaves the corpus untouched.
 	if c.Len() != 5 {
 		t.Errorf("corpus changed by failed deltas: len = %d", c.Len())
+	}
+}
+
+// TestWithDeltaAfterCategoryTyping edits articles of a type list that
+// mixes template-typed articles with ones AssignTypesFromCategories
+// typed later: each edit must replace its own article and leave the
+// others, and the list must stay in language order.
+func TestWithDeltaAfterCategoryTyping(t *testing.T) {
+	c := NewCorpus()
+	for _, x := range []struct{ title, typ string }{
+		{"Alpha", "film"}, {"Bravo", ""}, {"Charlie", ""}, {"Delta", "film"}, {"Echo", ""},
+	} {
+		c.MustAdd(&Article{Language: English, Title: x.title, Type: x.typ, Categories: []string{"Films"},
+			Infobox: &Infobox{Template: "Infobox film", Attrs: []AttributeValue{{Name: "name", Text: x.title}}}})
+	}
+	if n := c.AssignTypesFromCategories(CategoryTypeMap{English: {"Films": "film"}}); n != 3 {
+		t.Fatalf("assigned = %d, want 3", n)
+	}
+	want := []string{"Alpha", "Bravo", "Charlie", "Delta", "Echo"}
+	films := func(c *Corpus) []string {
+		var out []string
+		for _, a := range c.OfType(English, "film") {
+			out = append(out, a.Title)
+		}
+		return out
+	}
+	if got := films(c); !slices.Equal(got, want) {
+		t.Fatalf("film list after category typing = %q, want %q", got, want)
+	}
+	for _, title := range []string{"Bravo", "Echo", "Alpha"} {
+		a, _ := c.Get(English, title)
+		u := a.Clone()
+		u.Infobox.Attrs[0].Text += " (edited)"
+		out, _, err := c.WithDelta(Delta{Upserts: []*Article{u}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := films(out); !slices.Equal(got, want) {
+			t.Fatalf("editing %s: film list = %q, want %q", title, got, want)
+		}
+		for i, a := range out.OfType(English, "film") {
+			if a != out.Articles(English)[i] {
+				t.Errorf("editing %s: film list slot %d holds a stale %s", title, i, a.Title)
+			}
+		}
+		c = out
 	}
 }

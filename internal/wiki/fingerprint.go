@@ -26,8 +26,8 @@ func (c *Corpus) Fingerprint() uint64 {
 		return *p
 	}
 	var sum uint64
-	for _, en := range c.byKey.all() {
-		sum += en.a.digest()
+	for _, a := range c.byKey.all() {
+		sum += a.digest()
 	}
 	c.fp.Store(&sum)
 	return sum
