@@ -16,8 +16,11 @@ package audit
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/multi"
 	"repro/internal/text"
@@ -134,6 +137,11 @@ func Run(c *wiki.Corpus, clusters []multi.Cluster, opts Options) *Report {
 			}
 			byType[m.Type] = append(byType[m.Type], m.Name)
 		}
+		for _, byType := range names {
+			for _, list := range byType {
+				sort.Strings(list)
+			}
+		}
 		a.typeNames[i] = names
 		conf := make(map[[2]multi.Attr]float64)
 		for _, corr := range cl.Correspondences {
@@ -143,10 +151,32 @@ func Run(c *wiki.Corpus, clusters []multi.Cluster, opts Options) *Report {
 		a.confOf[i] = conf
 	}
 
-	report := &Report{}
-	for _, group := range entityGroups(c) {
-		report.Entities++
-		a.auditGroup(group, report)
+	// Each group audits into its own partial report. The auditor is
+	// read-only from here on, and the sort below is a total order (a
+	// group has one entity and at most one finding per cluster), so
+	// the merged report does not depend on scheduling.
+	groups := entityGroups(c)
+	parts := make([]Report, len(groups))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(groups)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(groups) {
+					return
+				}
+				a.auditGroup(groups[i], &parts[i])
+			}
+		}()
+	}
+	wg.Wait()
+	report := &Report{Entities: len(groups)}
+	for _, p := range parts {
+		report.Compared += p.Compared
+		report.Findings = append(report.Findings, p.Findings...)
 	}
 	sort.Slice(report.Findings, func(i, j int) bool {
 		x, y := &report.Findings[i], &report.Findings[j]
@@ -188,7 +218,7 @@ type auditor struct {
 	// builder resolves anchor heterogeneity.
 	anchors map[wiki.Language]map[string]string
 	// typeNames lists, per cluster, the member attribute names by
-	// language and entity type (for missing-value detection).
+	// language and entity type, sorted (for missing-value detection).
 	typeNames map[int]map[wiki.Language]map[string][]string
 }
 
@@ -419,7 +449,6 @@ func (a *auditor) auditCluster(group map[wiki.Language]*wiki.Article, langs []wi
 			if len(names) == 0 {
 				continue
 			}
-			sort.Strings(names)
 			other := obsLangs[0]
 			ref := byLang[other][0]
 			conf := a.pairConfidence(ci, multi.Attr{Lang: l, Type: group[l].Type, Name: names[0]},

@@ -2,6 +2,10 @@ package audit_test
 
 import (
 	"context"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/audit"
@@ -24,7 +28,7 @@ func (cm corpusMatcher) Match(ctx context.Context, pair wiki.LanguagePair) (*cor
 
 // buildClusters runs the full pivot-mode batch match over the corpus and
 // assembles correspondence clusters.
-func buildClusters(t *testing.T, c *wiki.Corpus) []multi.Cluster {
+func buildClusters(t testing.TB, c *wiki.Corpus) []multi.Cluster {
 	t.Helper()
 	cm := corpusMatcher{c: c, m: core.NewMatcher(core.DefaultConfig())}
 	batch, err := multi.Run(context.Background(), cm, c.Languages(), multi.Options{Mode: multi.ModePivot})
@@ -90,21 +94,48 @@ func TestAuditCleanCorpusQuiet(t *testing.T) {
 	}
 }
 
+// TestAuditDeterministic: the report is the same whole, field for field,
+// under any GOMAXPROCS and any cluster and member order (reversing the
+// clusters renumbers them, so the check maps ids back and restores the
+// ranking's cluster tie-break).
 func TestAuditDeterministic(t *testing.T) {
 	corpus, _, err := synth.Generate(synth.SmallConfig())
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
 	clusters := buildClusters(t, corpus)
-	a := audit.Run(corpus, clusters, audit.Options{})
-	b := audit.Run(corpus, clusters, audit.Options{})
-	if len(a.Findings) != len(b.Findings) || a.Entities != b.Entities || a.Compared != b.Compared {
-		t.Fatalf("nondeterministic report: %d/%d vs %d/%d", a.Entities, len(a.Findings), b.Entities, len(b.Findings))
+	want := audit.Run(corpus, clusters, audit.Options{})
+	if len(want.Findings) == 0 {
+		t.Fatal("no findings to compare")
 	}
-	for i := range a.Findings {
-		x, y := a.Findings[i], b.Findings[i]
-		if x.Entity != y.Entity || x.Cluster != y.Cluster || x.Kind != y.Kind || x.Severity != y.Severity {
-			t.Fatalf("finding %d differs: %+v vs %+v", i, x, y)
+	reversed := slices.Clone(clusters)
+	slices.Reverse(reversed)
+	for i := range reversed {
+		reversed[i].Members = slices.Clone(reversed[i].Members)
+		slices.Reverse(reversed[i].Members)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := audit.Run(corpus, clusters, audit.Options{}); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: report differs from the default run", procs)
+		}
+		got := audit.Run(corpus, reversed, audit.Options{})
+		for i := range got.Findings {
+			got.Findings[i].Cluster = len(clusters) - 1 - got.Findings[i].Cluster
+		}
+		sort.Slice(got.Findings, func(i, j int) bool {
+			x, y := &got.Findings[i], &got.Findings[j]
+			if x.Severity != y.Severity {
+				return x.Severity > y.Severity
+			}
+			if x.Entity != y.Entity {
+				return x.Entity < y.Entity
+			}
+			return x.Cluster < y.Cluster
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: report over reversed clusters differs", procs)
 		}
 	}
 }
@@ -131,5 +162,16 @@ func TestAuditOptions(t *testing.T) {
 		if full.Findings[i].Severity > full.Findings[i-1].Severity {
 			t.Errorf("findings not ranked at %d", i)
 		}
+	}
+}
+
+func BenchmarkAuditRun(b *testing.B) {
+	corpus, _, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		b.Fatalf("Generate: %v", err)
+	}
+	clusters := buildClusters(b, corpus)
+	for b.Loop() {
+		audit.Run(corpus, clusters, audit.Options{})
 	}
 }

@@ -13,6 +13,7 @@ package text
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // foldTable maps accented Latin letters (as used by Portuguese and
@@ -40,36 +41,88 @@ var foldTable = map[rune]rune{
 	'ỳ': 'y', 'ỵ': 'y', 'ỷ': 'y', 'ỹ': 'y',
 }
 
-// FoldDiacritics replaces accented Latin letters with their base ASCII
-// letters. Unknown runes pass through unchanged.
-func FoldDiacritics(s string) string {
+// Normalize lowercases s, folds diacritics, and collapses interior
+// whitespace — the canonical form for attribute names, titles and value
+// tokens throughout the pipeline. It is a single pass: ASCII lowercases
+// in place, other runes go through unicode.ToLower and foldTable, runs of
+// unicode.IsSpace become one space and edge spaces are dropped. Invalid
+// UTF-8 becomes U+FFFD, as strings.ToLower does. An input that is
+// already normal ASCII is returned as is, without allocating.
+func Normalize(s string) string {
+	if normalASCII(s) {
+		return s
+	}
 	var b strings.Builder
 	b.Grow(len(s))
-	for _, r := range s {
-		if f, ok := foldTable[r]; ok {
-			b.WriteRune(f)
-		} else if f, ok := foldTable[unicode.ToLower(r)]; ok {
-			b.WriteRune(unicode.ToUpper(f))
-		} else {
-			b.WriteRune(r)
+	space := false // a whitespace run waits to be written as one space
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			i++
+			if asciiSpace[c] {
+				space = b.Len() > 0
+				continue
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if space {
+				b.WriteByte(' ')
+				space = false
+			}
+			b.WriteByte(c)
+			continue
 		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		i += size
+		r = fold(unicode.ToLower(r))
+		if unicode.IsSpace(r) {
+			space = b.Len() > 0
+			continue
+		}
+		if space {
+			b.WriteByte(' ')
+			space = false
+		}
+		b.WriteRune(r)
 	}
 	return b.String()
 }
 
-// Normalize lowercases s, folds diacritics, and collapses interior
-// whitespace — the canonical form for attribute names, titles and value
-// tokens throughout the pipeline.
-func Normalize(s string) string {
-	s = strings.ToLower(s)
-	s = FoldDiacritics(s)
-	return strings.Join(strings.Fields(s), " ")
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// normalASCII reports whether s is ASCII and already normal: no upper
+// case, no whitespace but single interior spaces.
+func normalASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf || 'A' <= c && c <= 'Z':
+			return false
+		case c == ' ':
+			if i == 0 || i == len(s)-1 || s[i-1] == ' ' {
+				return false
+			}
+		case asciiSpace[c]:
+			return false
+		}
+	}
+	return true
 }
 
-// NormalizeKeepAccents lowercases and collapses whitespace but keeps
-// diacritics, for display-oriented canonicalization.
-func NormalizeKeepAccents(s string) string {
-	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
+// fold maps a lowercased rune to its base letter through foldTable. A
+// rune unicode.ToLower would still change folds to the upper-case base
+// letter.
+func fold(r rune) rune {
+	if f, ok := foldTable[r]; ok {
+		return f
+	}
+	if l := unicode.ToLower(r); l != r {
+		if f, ok := foldTable[l]; ok {
+			return unicode.ToUpper(f)
+		}
+	}
+	return r
 }
 
 // Tokenize splits s into lowercase, diacritic-folded word tokens. A token

@@ -2,8 +2,10 @@ package text
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestNormalize(t *testing.T) {
@@ -16,6 +18,7 @@ func TestNormalize(t *testing.T) {
 		{"Cônjuge", "conjuge"},
 		{"elenco original", "elenco original"},
 		{"Thể loại", "the loai"},
+		{"ÉÃÇ", "eac"},
 		{"", ""},
 	}
 	for _, c := range cases {
@@ -25,9 +28,72 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestFoldDiacriticsUppercase(t *testing.T) {
-	if got := FoldDiacritics("ÉÃÇ"); got != "EAC" {
-		t.Errorf("FoldDiacritics uppercase = %q", got)
+// normalizeOracle is Normalize's reference: lowercase, fold diacritics,
+// then collapse whitespace, one full pass each.
+func normalizeOracle(s string) string {
+	s = strings.ToLower(s)
+	s = foldDiacritics(s)
+	return strings.Join(strings.Fields(s), " ")
+}
+
+// foldDiacritics replaces accented Latin letters with their base ASCII
+// letters, keeping upper case. Unknown runes pass through unchanged.
+func foldDiacritics(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for _, r := range s {
+		if f, ok := foldTable[r]; ok {
+			b.WriteRune(f)
+		} else if f, ok := foldTable[unicode.ToLower(r)]; ok {
+			b.WriteRune(unicode.ToUpper(f))
+		} else {
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
+// FuzzNormalize requires the single-pass Normalize to match the
+// three-pass oracle byte for byte.
+func FuzzNormalize(f *testing.F) {
+	seeds := []string{
+		"", "ÉÃÇ", "Direção", "DIREÇÃO DE FOTOGRAFIA", "elenco original",
+		"ELENCO ORIGINAL", "Cônjuge", "Thể loại đạo diễn", "THỂ LOẠI ĐẠO DIỄN",
+		"ngôn ngữ", "NGÔN NGỮ", "a\tb", "x\u0085y", "\u00a0São\u00a0Paulo\u00a0",
+		"  multiple   spaces  ", " lead", "trail ", "a  b", "\t\n\v\f\r",
+		"\xff", "ab\xc3", "Ação\xe2\x82", "\xed\xa0\x80x", "İstanbul", "ǅemal",
+		"STRAẞE", "5 \u212a", "\u212aelvin",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Normalize(s), normalizeOracle(s); got != want {
+			t.Fatalf("Normalize(%q) = %q, oracle %q", s, got, want)
+		}
+	})
+}
+
+func TestNormalizeNormalASCIIZeroAllocs(t *testing.T) {
+	s := "elenco original"
+	if allocs := testing.AllocsPerRun(100, func() { s = Normalize(s) }); allocs != 0 {
+		t.Errorf("Normalize(%q) made %v allocations, want 0", s, allocs)
+	}
+}
+
+func BenchmarkNormalize(b *testing.B) {
+	for _, bc := range []struct{ name, in string }{
+		{"ascii-normal", "elenco original"},
+		{"ascii-mixed", "Elenco  Original"},
+		{"pt", "Direção de Fotografia"},
+		{"vi", "Thể loại đạo diễn"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Normalize(bc.in)
+			}
+		})
 	}
 }
 
