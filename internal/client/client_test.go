@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/protocol"
 	"repro/internal/service"
+	"repro/internal/synth"
 	"repro/internal/wiki"
 )
 
@@ -465,5 +466,45 @@ func TestLocalDelta(t *testing.T) {
 	}
 	if resp.Removed != 1 {
 		t.Errorf("removed = %d, want 1", resp.Removed)
+	}
+}
+
+// TestLocalInvalidateMatchesHTTP: invalidating a language through the
+// in-process backend reports the same per-kind breakdown as
+// /v1/invalidate does over HTTP on an identically warmed session.
+func TestLocalInvalidateMatchesHTTP(t *testing.T) {
+	c, _, err := synth.Generate(synth.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	warm := func() *service.Session {
+		s := service.New(c)
+		for _, pair := range []wiki.LanguagePair{wiki.PtEn, wiki.VnEn} {
+			if _, err := s.Match(ctx, pair); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	local, err := NewLocal(warm()).Invalidate(ctx, "vi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(service.NewHandler(warm()))
+	defer srv.Close()
+	cl, err := New(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := cl.Invalidate(ctx, "vi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote.Pairs == 0 || remote.Types == 0 {
+		t.Fatalf("warm invalidate dropped nothing: %+v", remote)
+	}
+	if *local != *remote {
+		t.Errorf("Local.Invalidate = %+v, /v1/invalidate = %+v", *local, *remote)
 	}
 }

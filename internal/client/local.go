@@ -64,8 +64,7 @@ func (l Local) AuditStream(ctx context.Context, req protocol.AuditRequest) (*Str
 
 // Stats implements Backend.
 func (l Local) Stats(ctx context.Context) (*protocol.StatsResponse, error) {
-	stats := l.S.Stats()
-	return &stats, nil
+	return l.S.ServeCorpus(ctx)
 }
 
 // Delta implements Backend.
@@ -75,9 +74,5 @@ func (l Local) Delta(ctx context.Context, req protocol.DeltaRequest) (*protocol.
 
 // Invalidate implements Backend.
 func (l Local) Invalidate(ctx context.Context, lang string) (*protocol.InvalidateResponse, error) {
-	resolved, err := protocol.InvalidateRequest{Lang: lang}.Validate()
-	if err != nil {
-		return nil, err
-	}
-	return &protocol.InvalidateResponse{Dropped: l.S.Invalidate(resolved)}, nil
+	return l.S.ServeInvalidate(ctx, protocol.InvalidateRequest{Lang: lang})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -324,5 +325,42 @@ func TestMatchResponseResult(t *testing.T) {
 	}
 	if _, err := (&MatchResponse{Pair: "bogus"}).Result(); err == nil {
 		t.Error("invalid pair accepted")
+	}
+}
+
+// TestCacheStatsAddSumsEveryField sets every field of two CacheStats to
+// distinct values by reflection, so a field added later that Add does
+// not sum fails here instead of vanishing from fleet totals.
+func TestCacheStatsAddSumsEveryField(t *testing.T) {
+	var a, b CacheStats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		setNumber(t, va.Field(i), va.Type().Field(i).Name, 10*(i+1))
+		setNumber(t, vb.Field(i), va.Type().Field(i).Name, i+1)
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Field(i)
+		var got int64
+		if f.CanInt() {
+			got = f.Int()
+		} else {
+			got = int64(f.Uint())
+		}
+		if want := int64(11 * (i + 1)); got != want {
+			t.Errorf("%s: Add gave %d, want %d", va.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
+func setNumber(t *testing.T, f reflect.Value, name string, v int) {
+	t.Helper()
+	switch {
+	case f.CanInt():
+		f.SetInt(int64(v))
+	case f.CanUint():
+		f.SetUint(uint64(v))
+	default:
+		t.Fatalf("CacheStats.%s is a %s; teach Add and this test to sum it", name, f.Kind())
 	}
 }

@@ -44,6 +44,18 @@ type CacheStats struct {
 	RestoredTypes int    `json:"restoredTypes"`
 }
 
+// Add sums o into c field by field — a fleet's cache totals are the sum
+// of its shards' disjoint slices.
+func (c *CacheStats) Add(o CacheStats) {
+	c.PairEntries += o.PairEntries
+	c.TypeEntries += o.TypeEntries
+	c.Hits += o.Hits
+	c.Misses += o.Misses
+	c.Failures += o.Failures
+	c.RestoredPairs += o.RestoredPairs
+	c.RestoredTypes += o.RestoredTypes
+}
+
 // MatchResponse answers a pair or single-type match. A single-type
 // request returns the one requested type in Types/Results.
 type MatchResponse struct {

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"errors"
-	"net/http"
 	"time"
 
 	"repro/internal/client"
@@ -23,68 +22,53 @@ import (
 // response is byte-identical to a single binary's modulo timings and
 // cache provenance.
 
-func (rt *Router) handleAudit(w http.ResponseWriter, req *http.Request) {
-	var areq protocol.AuditRequest
-	if e := service.DecodeBody(req, &areq); e != nil {
-		service.WriteEnvelope(w, e)
-		return
-	}
-	r, err := areq.Validate()
+// ServeAudit runs the matching phase across the fleet (unless the
+// request carries clusters) and forwards the clusters to one shard for
+// the value comparison.
+func (rt *Router) ServeAudit(ctx context.Context, req protocol.AuditRequest) (*protocol.AuditResponse, error) {
+	r, err := req.Validate()
 	if err != nil {
-		service.WriteEnvelope(w, protocol.FromErr(err))
-		return
+		return nil, err
 	}
 	start := time.Now()
 	var pairs []protocol.MatchAllPair
-	var cacheFn func() protocol.CacheStats
-	if areq.Clusters == nil {
-		final, fm, e := rt.scatterGather(req.Context(), protocol.MatchRequest{All: true},
-			protocol.Resolved{All: true, Multi: r.Multi})
-		if e != nil {
-			service.WriteEnvelope(w, e)
-			return
+	var fm *fleetMatcher
+	if req.Clusters == nil {
+		var final *multi.BatchResult
+		if final, fm, err = rt.scatterGather(ctx, protocol.MatchRequest{}, r.Multi); err != nil {
+			return nil, err
 		}
-		if final == nil {
-			service.WriteEnvelope(w, protocol.Errorf(protocol.CodeUnavailable, "audit matching phase produced no result"))
-			return
-		}
-		areq.Clusters = final.Clusters
-		if areq.Clusters == nil {
-			areq.Clusters = []multi.Cluster{}
-		}
-		for i := range final.Outcomes {
-			pairs = append(pairs, service.PairOutcomeDTO(&final.Outcomes[i]))
-		}
-		cacheFn = fm.cacheTotals
+		pairs = takeClusters(&req, final)
 	}
-	resp, e := rt.forwardAudit(req.Context(), areq)
-	if e != nil {
-		service.WriteEnvelope(w, e)
-		return
+	resp, err := onAnyShard(rt, func(sh *shard) (*protocol.AuditResponse, error) { return sh.c.Audit(ctx, req) })
+	if err != nil {
+		return nil, err
 	}
-	if cacheFn != nil {
+	if fm != nil {
 		resp.Pairs = pairs
-		resp.Cache = cacheFn()
+		resp.Cache = fm.cacheTotals()
 	}
 	resp.ElapsedMS = msSince(start)
-	service.WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (rt *Router) handleAuditStream(w http.ResponseWriter, req *http.Request) {
-	var areq protocol.AuditRequest
-	if e := service.DecodeBody(req, &areq); e != nil {
-		service.WriteEnvelope(w, e)
-		return
-	}
-	r, err := areq.Validate()
+// ServeAuditStream is ServeAudit with streamed progress: the matching
+// phase's pair lines, then the forwarding shard's finding lines and its
+// final line, re-stamped with the fleet's pairs and cache totals.
+func (rt *Router) ServeAuditStream(ctx context.Context, req protocol.AuditRequest) (<-chan protocol.StreamLine, error) {
+	r, err := req.Validate()
 	if err != nil {
-		service.WriteEnvelope(w, protocol.FromErr(err))
-		return
+		return nil, err
 	}
-	ctx, cancel := context.WithCancel(req.Context())
-	defer cancel()
 	start := time.Now()
-	lines := make(chan protocol.StreamLine, 16)
+	var updates <-chan multi.Update
+	var fm *fleetMatcher
+	if req.Clusters == nil {
+		if updates, fm, err = rt.matchPhase(ctx, protocol.MatchRequest{}, r.Multi); err != nil {
+			return nil, err
+		}
+	}
+	lines := make(chan protocol.StreamLine, 16) // decouples the shard read from the client write
 	go func() {
 		defer close(lines)
 		emit := func(line protocol.StreamLine) bool {
@@ -96,20 +80,7 @@ func (rt *Router) handleAuditStream(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 		var pairs []protocol.MatchAllPair
-		var cacheFn func() protocol.CacheStats
-		if areq.Clusters == nil {
-			langs, e := rt.fleetLanguages(ctx)
-			if e != nil {
-				emit(protocol.StreamLine{Error: e})
-				return
-			}
-			plan, err := multi.NewPlan(langs, r.Multi.Mode, r.Multi.Hub)
-			if err != nil {
-				emit(protocol.StreamLine{Error: protocol.FromErr(err)})
-				return
-			}
-			fm := rt.fleetMatcher(protocol.MatchRequest{})
-			updates := multi.StreamPlan(ctx, fm, plan, rt.batchWorkers(protocol.Resolved{Multi: r.Multi}, plan))
+		if updates != nil {
 			var final *multi.BatchResult
 			for u := range updates {
 				if u.Outcome != nil {
@@ -127,26 +98,19 @@ func (rt *Router) handleAuditStream(w http.ResponseWriter, req *http.Request) {
 			if final == nil {
 				return
 			}
-			areq.Clusters = final.Clusters
-			if areq.Clusters == nil {
-				areq.Clusters = []multi.Cluster{}
-			}
-			for i := range final.Outcomes {
-				pairs = append(pairs, service.PairOutcomeDTO(&final.Outcomes[i]))
-			}
-			cacheFn = fm.cacheTotals
+			pairs = takeClusters(&req, final)
 		}
-		st, e := rt.forwardAuditStream(ctx, areq)
-		if e != nil {
-			emit(protocol.StreamLine{Error: e})
+		st, err := onAnyShard(rt, func(sh *shard) (*client.Stream, error) { return sh.c.AuditStream(ctx, req) })
+		if err != nil {
+			emit(protocol.StreamLine{Error: protocol.FromErr(err)})
 			return
 		}
 		defer st.Close()
 		for st.Next() {
 			line := st.Line()
-			if line.FinalAudit != nil && cacheFn != nil {
+			if line.FinalAudit != nil && fm != nil {
 				line.FinalAudit.Pairs = pairs
-				line.FinalAudit.Cache = cacheFn()
+				line.FinalAudit.Cache = fm.cacheTotals()
 				line.FinalAudit.ElapsedMS = msSince(start)
 			}
 			if !emit(line) {
@@ -157,52 +121,42 @@ func (rt *Router) handleAuditStream(w http.ResponseWriter, req *http.Request) {
 			emit(protocol.StreamLine{Error: protocol.FromErr(err)})
 		}
 	}()
-	service.WriteNDJSONStream(w, rt.streamTimeout, cancel, lines)
+	return lines, nil
 }
 
-// forwardAudit hands a clusters-bearing audit request to the first
-// healthy shard. Structured non-retryable errors (validation) pass
-// through immediately; transport-class failures try the next shard —
-// any shard can serve the comparison, since all hold the full corpus.
-func (rt *Router) forwardAudit(ctx context.Context, areq protocol.AuditRequest) (*protocol.AuditResponse, *protocol.Error) {
-	var lastErr *protocol.Error
-	for i := range rt.shards {
-		sh := &rt.shards[i]
-		resp, err := sh.c.Audit(ctx, areq)
-		if err != nil {
-			var pe *protocol.Error
-			if errors.As(err, &pe) && !pe.Retryable {
-				return nil, pe
-			}
-			lastErr = rt.shardErr(sh, err)
-			continue
-		}
-		return resp, nil
+// takeClusters moves a finished matching phase's clusters into the
+// audit request to forward (never nil, so an empty batch still skips
+// the shard's own matching phase) and returns its per-pair outcomes.
+func takeClusters(req *protocol.AuditRequest, final *multi.BatchResult) []protocol.MatchAllPair {
+	req.Clusters = final.Clusters
+	if req.Clusters == nil {
+		req.Clusters = []multi.Cluster{}
 	}
-	if lastErr == nil {
-		lastErr = protocol.Errorf(protocol.CodeUnavailable, "no shard answered the audit")
+	var pairs []protocol.MatchAllPair
+	for i := range final.Outcomes {
+		pairs = append(pairs, service.PairOutcomeDTO(&final.Outcomes[i]))
 	}
-	return nil, lastErr
+	return pairs
 }
 
-// forwardAuditStream is forwardAudit for the streaming endpoint.
-func (rt *Router) forwardAuditStream(ctx context.Context, areq protocol.AuditRequest) (*client.Stream, *protocol.Error) {
-	var lastErr *protocol.Error
+// onAnyShard calls call on each shard in turn until one answers: any
+// shard can serve a clusters-bearing audit, since all hold the full
+// corpus. Structured non-retryable errors (validation) pass through
+// immediately; transport-class failures try the next shard.
+func onAnyShard[T any](rt *Router, call func(*shard) (T, error)) (T, error) {
+	var zero T
+	var lastErr error
 	for i := range rt.shards {
 		sh := &rt.shards[i]
-		st, err := sh.c.AuditStream(ctx, areq)
-		if err != nil {
-			var pe *protocol.Error
-			if errors.As(err, &pe) && !pe.Retryable {
-				return nil, pe
-			}
-			lastErr = rt.shardErr(sh, err)
-			continue
+		v, err := call(sh)
+		if err == nil {
+			return v, nil
 		}
-		return st, nil
+		var pe *protocol.Error
+		if errors.As(err, &pe) && !pe.Retryable {
+			return zero, pe
+		}
+		lastErr = rt.shardErr(sh, err)
 	}
-	if lastErr == nil {
-		lastErr = protocol.Errorf(protocol.CodeUnavailable, "no shard answered the audit stream")
-	}
-	return nil, lastErr
+	return zero, lastErr
 }

@@ -8,33 +8,24 @@ import (
 )
 
 // probeFleet probes every shard's /v1/healthz concurrently, each under
-// its own probe timeout, and folds the answers into one fleet view:
-// FleetOK when every shard answered, FleetDegraded when some did,
-// FleetDown when none did.
-func (rt *Router) probeFleet(ctx context.Context) protocol.FleetHealth {
-	shards := make([]protocol.ShardHealth, len(rt.shards))
-	done := make(chan int, len(rt.shards))
-	for i := range rt.shards {
-		go func(i int) {
-			defer func() { done <- i }()
-			sh := &rt.shards[i]
-			out := protocol.ShardHealth{Shard: sh.index, Addr: sh.addr}
-			pctx, cancel := context.WithTimeout(ctx, rt.probeTimeout)
-			defer cancel()
-			h, err := sh.c.Healthz(pctx)
-			if err != nil {
-				out.Status = protocol.FleetDown
-				out.Error = err.Error()
-			} else {
-				out.Status = h.Status
-				out.Health = h
-			}
-			shards[i] = out
-		}(i)
-	}
-	for range rt.shards {
-		<-done
-	}
+// probeTimeout, and folds the answers into one fleet view, up since
+// started: FleetOK when every shard answered, FleetDegraded when some
+// did, FleetDown when none did.
+func (rt *Router) probeFleet(ctx context.Context, started time.Time) protocol.FleetHealth {
+	shards := fanOut(rt, func(sh *shard) protocol.ShardHealth {
+		out := protocol.ShardHealth{Shard: sh.index, Addr: sh.addr}
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
+		defer cancel()
+		h, err := sh.c.Healthz(pctx)
+		if err != nil {
+			out.Status = protocol.FleetDown
+			out.Error = err.Error()
+		} else {
+			out.Status = h.Status
+			out.Health = h
+		}
+		return out
+	})
 
 	healthy := 0
 	for _, s := range shards {
@@ -51,7 +42,7 @@ func (rt *Router) probeFleet(ctx context.Context) protocol.FleetHealth {
 	}
 	return protocol.FleetHealth{
 		Status:        status,
-		UptimeSeconds: time.Since(rt.started).Seconds(),
+		UptimeSeconds: time.Since(started).Seconds(),
 		ShardsTotal:   len(shards),
 		ShardsHealthy: healthy,
 		Shards:        shards,
@@ -91,7 +82,7 @@ func (rt *Router) poll() {
 			return
 		case <-ticker.C:
 		}
-		h := rt.probeFleet(context.Background())
+		h := rt.probeFleet(context.Background(), rt.started)
 		rt.storeHealth(&h)
 	}
 }

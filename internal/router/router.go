@@ -26,21 +26,22 @@ type shard struct {
 	c     *client.Client
 }
 
+// probeTimeout bounds each per-shard health probe.
+const probeTimeout = 2 * time.Second
+
 // Router coordinates a wikimatchd fleet behind the single-binary /v1
-// surface. Build it with New, mount Handler, and Close it on shutdown
-// to stop the health poller.
+// surface. It is a service.Backend: Handler serves it through the same
+// service.NewHandler a single binary runs. Build it with New, mount
+// Handler, and Close it on shutdown to stop the health poller.
 type Router struct {
 	shards []shard
 
 	clientOpts     []client.Option
 	handlerOpts    []service.HandlerOption
 	healthInterval time.Duration
-	probeTimeout   time.Duration
-	streamTimeout  time.Duration
 	logger         *log.Logger
 
 	started time.Time
-	metrics func() protocol.Metrics
 
 	// langMu guards the cached fleet language set, discovered from a
 	// shard's corpus stats and dropped whenever a delta lands (the
@@ -67,7 +68,8 @@ func WithClientOptions(opts ...client.Option) Option {
 }
 
 // WithHandlerOptions passes middleware-stack options to the router's
-// own HTTP surface (Handler wraps the same stack a replica runs).
+// own HTTP surface (Handler is the same service.NewHandler a replica
+// runs), stream write timeouts included.
 func WithHandlerOptions(opts ...service.HandlerOption) Option {
 	return func(rt *Router) { rt.handlerOpts = append(rt.handlerOpts, opts...) }
 }
@@ -77,17 +79,6 @@ func WithHandlerOptions(opts ...service.HandlerOption) Option {
 // probed live, per /v1/healthz request).
 func WithHealthInterval(d time.Duration) Option {
 	return func(rt *Router) { rt.healthInterval = d }
-}
-
-// WithProbeTimeout bounds each per-shard health probe (default 2s).
-func WithProbeTimeout(d time.Duration) Option {
-	return func(rt *Router) { rt.probeTimeout = d }
-}
-
-// WithStreamWriteTimeout bounds each relayed NDJSON line write
-// (default 1 minute; negative disables the deadline).
-func WithStreamWriteTimeout(d time.Duration) Option {
-	return func(rt *Router) { rt.streamTimeout = d }
 }
 
 // WithLogger receives fleet-health transitions and routing errors.
@@ -105,8 +96,6 @@ func New(addrs []string, opts ...Option) (*Router, error) {
 	}
 	rt := &Router{
 		healthInterval: 15 * time.Second,
-		probeTimeout:   2 * time.Second,
-		streamTimeout:  time.Minute,
 		started:        time.Now(),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
@@ -148,41 +137,29 @@ func (rt *Router) owner(pair wiki.LanguagePair) *shard {
 	return &rt.shards[ShardFor(pair, len(rt.shards))]
 }
 
-// Handler mounts the fleet /v1 surface — the same routes a replica
-// serves, wrapped in the same middleware stack (request IDs, metrics,
-// shedding), so a client cannot tell a router from a single binary
-// except by the fleet-shaped healthz/metrics/delta bodies.
+// Handler mounts the fleet /v1 surface: service.NewHandler over the
+// router, so routes, method guards, body decoding and the middleware
+// stack (request IDs, metrics, shedding) are the single binary's own,
+// and a client cannot tell a router from a single binary except by the
+// fleet-shaped healthz/metrics/delta bodies.
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/match", method(http.MethodPost, rt.handleMatch))
-	mux.HandleFunc("/v1/matchall", method(http.MethodPost, rt.handleMatchAll))
-	mux.HandleFunc("/v1/stream", method(http.MethodPost, rt.handleStream))
-	mux.HandleFunc("/v1/audit", method(http.MethodPost, rt.handleAudit))
-	mux.HandleFunc("/v1/audit/stream", method(http.MethodPost, rt.handleAuditStream))
-	mux.HandleFunc("/v1/corpus", method(http.MethodGet, rt.handleCorpus))
-	mux.HandleFunc("/v1/corpus/delta", method(http.MethodPost, rt.handleDelta))
-	mux.HandleFunc("/v1/invalidate", method(http.MethodPost, rt.handleInvalidate))
-	mux.HandleFunc("/v1/healthz", method(http.MethodGet, rt.handleHealthz))
-	mux.HandleFunc("/v1/metrics", method(http.MethodGet, rt.handleMetrics))
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		service.WriteEnvelope(w, protocol.Errorf(protocol.CodeNotFound, "no such endpoint %s", r.URL.Path))
-	})
-	h, metrics := service.WrapMiddleware(mux, rt.handlerOpts...)
-	rt.metrics = metrics
-	return h
+	return service.NewHandler(rt, rt.handlerOpts...)
 }
 
-// method guards a route's HTTP method with the structured 405.
-func method(want string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != want {
-			w.Header().Set("Allow", want)
-			service.WriteEnvelope(w, protocol.Errorf(protocol.CodeMethodNotAllowed,
-				"method %s not allowed on %s (use %s)", r.Method, r.URL.Path, want))
-			return
-		}
-		h(w, r)
+// fanOut calls f on every shard concurrently and returns the answers in
+// shard order.
+func fanOut[T any](rt *Router, f func(*shard) T) []T {
+	out := make([]T, len(rt.shards))
+	var wg sync.WaitGroup
+	for i := range rt.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = f(&rt.shards[i])
+		}()
 	}
+	wg.Wait()
+	return out
 }
 
 // shardErr classifies a per-shard call failure: a structured protocol
@@ -202,103 +179,66 @@ func (rt *Router) shardErr(sh *shard, err error) *protocol.Error {
 		"shard %d (%s) unreachable: %v", sh.index, sh.addr, err)
 }
 
-func (rt *Router) handleMatch(w http.ResponseWriter, req *http.Request) {
-	var mreq protocol.MatchRequest
-	if e := service.DecodeBody(req, &mreq); e != nil {
-		service.WriteEnvelope(w, e)
-		return
-	}
-	r, err := mreq.Validate()
+// ServeMatch routes a pair or single-type request to the shard owning
+// its pair.
+func (rt *Router) ServeMatch(ctx context.Context, req protocol.MatchRequest) (*protocol.MatchResponse, error) {
+	r, err := req.Validate()
 	if err != nil {
-		service.WriteEnvelope(w, protocol.FromErr(err))
-		return
+		return nil, err
 	}
 	if r.All {
-		service.WriteEnvelope(w, protocol.Errorf(protocol.CodeInvalidArgument,
-			"all-pairs request must be sent to /v1/matchall"))
-		return
+		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
+			"all-pairs request must be sent to /v1/matchall")
 	}
 	sh := rt.owner(r.Pair)
-	resp, err := sh.c.Match(req.Context(), mreq)
+	resp, err := sh.c.Match(ctx, req)
 	if err != nil {
-		service.WriteEnvelope(w, rt.shardErr(sh, err))
-		return
+		return nil, rt.shardErr(sh, err)
 	}
-	service.WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (rt *Router) handleMatchAll(w http.ResponseWriter, req *http.Request) {
-	var mreq protocol.MatchRequest
-	if e := service.DecodeBody(req, &mreq); e != nil {
-		service.WriteEnvelope(w, e)
-		return
-	}
-	if !mreq.All && (mreq.Pair != "" || mreq.Type != "") {
-		service.WriteEnvelope(w, protocol.Errorf(protocol.CodeInvalidArgument,
-			"pair-scoped request must be sent to /v1/match"))
-		return
-	}
-	mreq.All = true
-	r, err := mreq.Validate()
+// ServeMatchAll scatter-gathers an all-pairs batch across the fleet.
+func (rt *Router) ServeMatchAll(ctx context.Context, req protocol.MatchRequest) (*protocol.MatchAllResponse, error) {
+	req.All = true
+	r, err := req.Validate()
 	if err != nil {
-		service.WriteEnvelope(w, protocol.FromErr(err))
-		return
+		return nil, err
 	}
 	start := time.Now()
-	final, fm, e := rt.scatterGather(req.Context(), mreq, r)
-	if e != nil {
-		service.WriteEnvelope(w, e)
-		return
+	final, fm, err := rt.scatterGather(ctx, req, r.Multi)
+	if err != nil {
+		return nil, err
 	}
 	resp := service.MatchAllDTO(final, msSince(start), fm.cacheTotals())
-	service.WriteJSON(w, http.StatusOK, resp)
+	return &resp, nil
 }
 
-func (rt *Router) handleStream(w http.ResponseWriter, req *http.Request) {
-	var mreq protocol.MatchRequest
-	if e := service.DecodeBody(req, &mreq); e != nil {
-		service.WriteEnvelope(w, e)
-		return
-	}
-	r, err := mreq.Validate()
+// ServeStream streams an all-pairs batch scatter-gathered with live
+// progress, through the same relay as a single binary's, or relays the
+// owning shard's stream of a pair-scoped request verbatim.
+func (rt *Router) ServeStream(ctx context.Context, req protocol.MatchRequest) (<-chan protocol.StreamLine, error) {
+	r, err := req.Validate()
 	if err != nil {
-		service.WriteEnvelope(w, protocol.FromErr(err))
-		return
+		return nil, err
 	}
 	if r.Type != "" {
-		service.WriteEnvelope(w, protocol.Errorf(protocol.CodeInvalidArgument,
-			"single-type requests cannot stream; use /v1/match"))
-		return
+		return nil, protocol.Errorf(protocol.CodeInvalidArgument,
+			"single-type requests cannot stream; use /v1/match")
 	}
-	ctx, cancel := context.WithCancel(req.Context())
-	defer cancel()
 	if r.All {
-		// Scatter-gathered batch with live progress: the same scheduler
-		// and relay as /v1/matchall, line by line.
-		langs, e := rt.fleetLanguages(ctx)
-		if e != nil {
-			service.WriteEnvelope(w, e)
-			return
-		}
-		plan, err := multi.NewPlan(langs, r.Multi.Mode, r.Multi.Hub)
+		updates, fm, err := rt.matchPhase(ctx, req, r.Multi)
 		if err != nil {
-			service.WriteEnvelope(w, protocol.FromErr(err))
-			return
+			return nil, err
 		}
-		fm := rt.fleetMatcher(mreq)
-		updates := multi.StreamPlan(ctx, fm, plan, rt.batchWorkers(r, plan))
-		lines := service.RelayAllStream(updates, fm.cacheTotals)
-		service.WriteNDJSONStream(w, rt.streamTimeout, cancel, lines)
-		return
+		return service.RelayAllStream(updates, fm.cacheTotals), nil
 	}
-	// Pair-scoped: relay the owning shard's stream verbatim.
 	sh := rt.owner(r.Pair)
-	st, err := sh.c.Stream(ctx, mreq)
+	st, err := sh.c.Stream(ctx, req)
 	if err != nil {
-		service.WriteEnvelope(w, rt.shardErr(sh, err))
-		return
+		return nil, rt.shardErr(sh, err)
 	}
-	lines := make(chan protocol.StreamLine, 16)
+	lines := make(chan protocol.StreamLine, 16) // decouples the shard read from the client write
 	go func() {
 		defer close(lines)
 		defer st.Close()
@@ -316,26 +256,43 @@ func (rt *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 	}()
-	service.WriteNDJSONStream(w, rt.streamTimeout, cancel, lines)
+	return lines, nil
 }
 
-// scatterGather runs one all-pairs batch across the fleet: the plan is
-// resolved router-side from the fleet's language set, every planned
-// pair is routed to its owning shard concurrently, and the wire
-// results are reconstructed and merged through the same cluster
-// builder a single binary runs. Per-pair shard failures land in their
-// outcomes without aborting the batch, exactly like a local failure.
-func (rt *Router) scatterGather(ctx context.Context, req protocol.MatchRequest, r protocol.Resolved) (*multi.BatchResult, *fleetMatcher, *protocol.Error) {
-	langs, e := rt.fleetLanguages(ctx)
-	if e != nil {
-		return nil, nil, e
+// matchPhase starts one all-pairs matching phase across the fleet: the
+// plan is resolved router-side from the fleet's language set, and every
+// planned pair is routed to its owning shard. It is the one matching
+// phase behind /v1/matchall, the all-pairs stream and both audits.
+// Per-pair shard failures land in their outcomes without aborting the
+// batch, exactly like a local failure. An explicit workers request is
+// honored; the default is full fan-out (one worker per planned pair),
+// because router-side pair work is network-bound waiting, not CPU — the
+// shards bound their own compute.
+func (rt *Router) matchPhase(ctx context.Context, req protocol.MatchRequest, opts multi.Options) (<-chan multi.Update, *fleetMatcher, error) {
+	langs, err := rt.fleetLanguages(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
-	plan, err := multi.NewPlan(langs, r.Multi.Mode, r.Multi.Hub)
+	plan, err := multi.NewPlan(langs, opts.Mode, opts.Hub)
 	if err != nil {
 		return nil, nil, protocol.FromErr(err)
 	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = len(plan.Pairs)
+	}
 	fm := rt.fleetMatcher(req)
-	updates := multi.StreamPlan(ctx, fm, plan, rt.batchWorkers(r, plan))
+	return multi.StreamPlan(ctx, fm, plan, workers), fm, nil
+}
+
+// scatterGather runs matchPhase to completion and returns the merged
+// batch, reconstructed through the same cluster builder a single binary
+// runs.
+func (rt *Router) scatterGather(ctx context.Context, req protocol.MatchRequest, opts multi.Options) (*multi.BatchResult, *fleetMatcher, error) {
+	updates, fm, err := rt.matchPhase(ctx, req, opts)
+	if err != nil {
+		return nil, nil, err
+	}
 	var final *multi.BatchResult
 	for u := range updates {
 		if u.Final != nil {
@@ -345,18 +302,10 @@ func (rt *Router) scatterGather(ctx context.Context, req protocol.MatchRequest, 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, protocol.FromErr(err)
 	}
-	return final, fm, nil
-}
-
-// batchWorkers picks the scatter-gather concurrency: an explicit
-// workers request is honored; the default is full fan-out (one worker
-// per planned pair), because router-side pair work is network-bound
-// waiting, not CPU — the shards bound their own compute.
-func (rt *Router) batchWorkers(r protocol.Resolved, plan multi.Plan) int {
-	if r.Multi.Workers > 0 {
-		return r.Multi.Workers
+	if final == nil {
+		return nil, nil, protocol.Errorf(protocol.CodeUnavailable, "matching phase produced no result")
 	}
-	return len(plan.Pairs)
+	return final, fm, nil
 }
 
 // fleetMatcher adapts the fleet to multi.PairMatcher: each pair is one
@@ -405,13 +354,7 @@ func (f *fleetMatcher) cacheTotals() protocol.CacheStats {
 	defer f.mu.Unlock()
 	var out protocol.CacheStats
 	for _, cs := range f.cache {
-		out.PairEntries += cs.PairEntries
-		out.TypeEntries += cs.TypeEntries
-		out.Hits += cs.Hits
-		out.Misses += cs.Misses
-		out.Failures += cs.Failures
-		out.RestoredPairs += cs.RestoredPairs
-		out.RestoredTypes += cs.RestoredTypes
+		out.Add(cs)
 	}
 	return out
 }
@@ -420,14 +363,14 @@ func (f *fleetMatcher) cacheTotals() protocol.CacheStats {
 // the first shard that answers its stats. Every shard serves the full
 // corpus — only artifacts are sharded — so any answer is
 // authoritative. The cache is dropped when a delta lands.
-func (rt *Router) fleetLanguages(ctx context.Context) ([]wiki.Language, *protocol.Error) {
+func (rt *Router) fleetLanguages(ctx context.Context) ([]wiki.Language, error) {
 	rt.langMu.Lock()
 	cached := rt.langs
 	rt.langMu.Unlock()
 	if cached != nil {
 		return cached, nil
 	}
-	var lastErr *protocol.Error
+	var lastErr error
 	for i := range rt.shards {
 		sh := &rt.shards[i]
 		stats, err := sh.c.Stats(ctx)
@@ -445,9 +388,6 @@ func (rt *Router) fleetLanguages(ctx context.Context) ([]wiki.Language, *protoco
 		rt.langMu.Unlock()
 		return langs, nil
 	}
-	if lastErr == nil {
-		lastErr = protocol.Errorf(protocol.CodeUnavailable, "no shard answered corpus stats")
-	}
 	return nil, lastErr
 }
 
@@ -459,33 +399,24 @@ func (rt *Router) invalidateLanguages() {
 	rt.langMu.Unlock()
 }
 
-func (rt *Router) handleCorpus(w http.ResponseWriter, req *http.Request) {
-	// Corpus and config come from the first healthy shard (identical
-	// everywhere); cache stats are summed across every shard that
-	// answers, since each holds a disjoint artifact slice.
+// ServeCorpus serves the corpus and config of the first shard that
+// answers (identical everywhere), with cache stats summed across every
+// shard that answers, since each holds a disjoint artifact slice.
+func (rt *Router) ServeCorpus(ctx context.Context) (*protocol.StatsResponse, error) {
 	type answer struct {
 		stats *protocol.StatsResponse
-		err   *protocol.Error
+		err   error
 	}
-	answers := make([]answer, len(rt.shards))
-	var wg sync.WaitGroup
-	for i := range rt.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := &rt.shards[i]
-			stats, err := sh.c.Stats(req.Context())
-			if err != nil {
-				answers[i] = answer{err: rt.shardErr(sh, err)}
-				return
-			}
-			answers[i] = answer{stats: stats}
-		}(i)
-	}
-	wg.Wait()
+	answers := fanOut(rt, func(sh *shard) answer {
+		stats, err := sh.c.Stats(ctx)
+		if err != nil {
+			return answer{err: rt.shardErr(sh, err)}
+		}
+		return answer{stats: stats}
+	})
 	var resp *protocol.StatsResponse
 	var cache protocol.CacheStats
-	var lastErr *protocol.Error
+	var lastErr error
 	for _, a := range answers {
 		if a.err != nil {
 			lastErr = a.err
@@ -494,53 +425,35 @@ func (rt *Router) handleCorpus(w http.ResponseWriter, req *http.Request) {
 		if resp == nil {
 			resp = a.stats
 		}
-		cache.PairEntries += a.stats.Cache.PairEntries
-		cache.TypeEntries += a.stats.Cache.TypeEntries
-		cache.Hits += a.stats.Cache.Hits
-		cache.Misses += a.stats.Cache.Misses
-		cache.Failures += a.stats.Cache.Failures
-		cache.RestoredPairs += a.stats.Cache.RestoredPairs
-		cache.RestoredTypes += a.stats.Cache.RestoredTypes
+		cache.Add(a.stats.Cache)
 	}
 	if resp == nil {
-		service.WriteEnvelope(w, lastErr)
-		return
+		return nil, lastErr
 	}
 	resp.Cache = cache
-	service.WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (rt *Router) handleDelta(w http.ResponseWriter, req *http.Request) {
-	var dreq protocol.DeltaRequest
-	if e := service.DecodeBody(req, &dreq); e != nil {
-		service.WriteEnvelope(w, e)
-		return
-	}
+// DeltaBody fans a corpus delta out to every shard and answers with a
+// FleetDeltaResponse: per-shard outcomes and whether the fleet's
+// corpora still agree.
+func (rt *Router) DeltaBody(ctx context.Context, req protocol.DeltaRequest) (any, error) {
 	// Validate router-side so a malformed delta is rejected with the
 	// canonical envelope before touching any shard.
-	if _, err := dreq.Validate(); err != nil {
-		service.WriteEnvelope(w, protocol.FromErr(err))
-		return
+	if _, err := req.Validate(); err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	shards := make([]protocol.ShardDelta, len(rt.shards))
-	var wg sync.WaitGroup
-	for i := range rt.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := &rt.shards[i]
-			sd := protocol.ShardDelta{Shard: sh.index, Addr: sh.addr}
-			resp, err := sh.c.Delta(req.Context(), dreq)
-			if err != nil {
-				sd.Error = rt.shardErr(sh, err)
-			} else {
-				sd.Response = resp
-			}
-			shards[i] = sd
-		}(i)
-	}
-	wg.Wait()
+	shards := fanOut(rt, func(sh *shard) protocol.ShardDelta {
+		sd := protocol.ShardDelta{Shard: sh.index, Addr: sh.addr}
+		resp, err := sh.c.Delta(ctx, req)
+		if err != nil {
+			sd.Error = rt.shardErr(sh, err)
+		} else {
+			sd.Response = resp
+		}
+		return sd
+	})
 	rt.invalidateLanguages()
 
 	ok := 0
@@ -568,85 +481,67 @@ func (rt *Router) handleDelta(w http.ResponseWriter, req *http.Request) {
 	if ok < len(shards) {
 		consistent = false
 	}
-	service.WriteJSON(w, http.StatusOK, protocol.FleetDeltaResponse{
+	return protocol.FleetDeltaResponse{
 		Status:     status,
 		Consistent: consistent && ok > 0,
 		Shards:     shards,
 		ElapsedMS:  msSince(start),
-	})
+	}, nil
 }
 
-func (rt *Router) handleInvalidate(w http.ResponseWriter, req *http.Request) {
-	var ireq protocol.InvalidateRequest
-	if e := service.DecodeBody(req, &ireq); e != nil {
-		service.WriteEnvelope(w, e)
-		return
+// ServeInvalidate fans an invalidation out to every shard and sums the
+// per-shard drop counts.
+func (rt *Router) ServeInvalidate(ctx context.Context, req protocol.InvalidateRequest) (*protocol.InvalidateResponse, error) {
+	if _, err := req.Validate(); err != nil {
+		return nil, err
 	}
-	if _, err := ireq.Validate(); err != nil {
-		service.WriteEnvelope(w, protocol.FromErr(err))
-		return
+	type answer struct {
+		resp *protocol.InvalidateResponse
+		err  error
 	}
-	results := make([]*protocol.InvalidateResponse, len(rt.shards))
-	errs := make([]*protocol.Error, len(rt.shards))
-	var wg sync.WaitGroup
-	for i := range rt.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := &rt.shards[i]
-			resp, err := sh.c.Invalidate(req.Context(), ireq.Lang)
-			if err != nil {
-				errs[i] = rt.shardErr(sh, err)
-				return
-			}
-			results[i] = resp
-		}(i)
-	}
-	wg.Wait()
+	answers := fanOut(rt, func(sh *shard) answer {
+		resp, err := sh.c.Invalidate(ctx, req.Lang)
+		if err != nil {
+			return answer{err: rt.shardErr(sh, err)}
+		}
+		return answer{resp: resp}
+	})
 	var total protocol.InvalidateResponse
-	for i := range rt.shards {
-		if errs[i] != nil {
+	for _, a := range answers {
+		if a.err != nil {
 			// Partial invalidation is worse than none to reason about;
 			// surface the failure and let the caller retry the fleet.
-			service.WriteEnvelope(w, errs[i])
-			return
+			return nil, a.err
 		}
-		total.Dropped += results[i].Dropped
-		total.Pairs += results[i].Pairs
-		total.Types += results[i].Types
+		total.Dropped += a.resp.Dropped
+		total.Pairs += a.resp.Pairs
+		total.Types += a.resp.Types
 	}
-	service.WriteJSON(w, http.StatusOK, total)
+	return &total, nil
 }
 
-func (rt *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	h := rt.probeFleet(req.Context())
+// HealthBody probes every shard live and answers with the FleetHealth,
+// recording it as the latest observation.
+func (rt *Router) HealthBody(ctx context.Context, started time.Time) (any, error) {
+	h := rt.probeFleet(ctx, started)
 	rt.storeHealth(&h)
-	service.WriteJSON(w, http.StatusOK, h)
+	return h, nil
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	out := protocol.FleetMetrics{Shards: make([]protocol.ShardMetrics, len(rt.shards))}
-	if rt.metrics != nil {
-		out.Router = rt.metrics()
-	}
-	var wg sync.WaitGroup
-	for i := range rt.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := &rt.shards[i]
-			sm := protocol.ShardMetrics{Shard: sh.index, Addr: sh.addr}
-			m, err := sh.c.Metrics(req.Context())
-			if err != nil {
-				sm.Error = rt.shardErr(sh, err).Error()
-			} else {
-				sm.Metrics = m
-			}
-			out.Shards[i] = sm
-		}(i)
-	}
-	wg.Wait()
-	service.WriteJSON(w, http.StatusOK, out)
+// MetricsBody answers with FleetMetrics: the router's own middleware
+// counters beside each shard's.
+func (rt *Router) MetricsBody(ctx context.Context, stack protocol.Metrics) (any, error) {
+	shards := fanOut(rt, func(sh *shard) protocol.ShardMetrics {
+		sm := protocol.ShardMetrics{Shard: sh.index, Addr: sh.addr}
+		m, err := sh.c.Metrics(ctx)
+		if err != nil {
+			sm.Error = rt.shardErr(sh, err).Error()
+		} else {
+			sm.Metrics = m
+		}
+		return sm
+	})
+	return protocol.FleetMetrics{Router: stack, Shards: shards}, nil
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }

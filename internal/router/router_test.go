@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,7 +72,6 @@ func startFleet(t *testing.T, count int, rtOpts ...Option) *fleet {
 	}
 	opts := append([]Option{
 		WithHealthInterval(-1),
-		WithProbeTimeout(2 * time.Second),
 		WithClientOptions(client.WithRetries(0, time.Millisecond)),
 	}, rtOpts...)
 	rt, err := New(addrs, opts...)
@@ -129,12 +130,23 @@ func normalizeMatchAll(t *testing.T, raw []byte) []byte {
 	return out
 }
 
-// TestMatchAllByteIdentical is the tentpole acceptance gate: a 2-shard
+// forEachFleetSize runs test against fleets of 1 to 5 shards: the
+// fleet must equal the single binary for any shard count.
+func forEachFleetSize(t *testing.T, test func(t *testing.T, f *fleet)) {
+	for count := 1; count <= 5; count++ {
+		t.Run(fmt.Sprintf("shards=%d", count), func(t *testing.T) { test(t, startFleet(t, count)) })
+	}
+}
+
+// TestMatchAllByteIdentical is the tentpole acceptance gate: a
 // scatter-gathered /v1/matchall must serialize byte-identically to a
 // single binary's — clusters, induced correspondences, planned pairs —
 // in both pivot and direct modes, with threshold overrides too.
 func TestMatchAllByteIdentical(t *testing.T) {
-	f := startFleet(t, 2)
+	forEachFleetSize(t, testMatchAllByteIdentical)
+}
+
+func testMatchAllByteIdentical(t *testing.T, f *fleet) {
 	for _, body := range []string{
 		`{"all":true}`,
 		`{"all":true,"mode":"direct"}`,
@@ -690,12 +702,15 @@ func normalizeAudit(t *testing.T, raw []byte) []byte {
 	return out
 }
 
-// TestAuditByteIdentical is the audit acceptance gate: a 2-shard routed
+// TestAuditByteIdentical is the audit acceptance gate: a routed
 // /v1/audit — matching scatter-gathered across the fleet, value
 // comparison forwarded to one shard — must serialize byte-identically
 // to a single binary's, modulo timings and cache provenance.
 func TestAuditByteIdentical(t *testing.T) {
-	f := startFleet(t, 2)
+	forEachFleetSize(t, testAuditByteIdentical)
+}
+
+func testAuditByteIdentical(t *testing.T, f *fleet) {
 	for _, body := range []string{
 		`{}`,
 		`{"mode":"direct"}`,
@@ -771,7 +786,10 @@ func TestAuditStreamThroughRouter(t *testing.T) {
 	if findingLines != len(final.Findings) {
 		t.Fatalf("audit stream: %d finding lines, final has %d", findingLines, len(final.Findings))
 	}
-	_, want := post(t, f.single.URL+"/v1/audit", `{}`)
+	wantStatus, want := post(t, f.single.URL+"/v1/audit", `{}`)
+	if wantStatus != http.StatusOK {
+		t.Fatalf("single-binary audit: %d %s", wantStatus, want)
+	}
 	finalRaw, err := json.Marshal(final)
 	if err != nil {
 		t.Fatal(err)
@@ -779,4 +797,69 @@ func TestAuditStreamThroughRouter(t *testing.T) {
 	if !bytes.Equal(normalizeAudit(t, finalRaw), normalizeAudit(t, want)) {
 		t.Error("streamed audit final differs from single-binary audit")
 	}
+	// A hub outside the corpus fails before the stream starts, with the
+	// single binary's status and envelope.
+	gotStatus, got := post(t, f.rtSrv.URL+"/v1/audit/stream", `{"hub":"de"}`)
+	wantStatus, want = post(t, f.single.URL+"/v1/audit/stream", `{"hub":"de"}`)
+	if gotStatus != http.StatusNotFound || gotStatus != wantStatus || !bytes.Equal(got, want) {
+		t.Errorf("unknown hub stream: router %d %s, single %d %s", gotStatus, got, wantStatus, want)
+	}
+}
+
+// TestAbandonedRoutedStreamsSettle: a client that walks away halfway
+// through a routed all-pairs /v1/stream or /v1/audit/stream leaves
+// nothing running. The router cancels its matching phase and the
+// shard calls, the shards drop or finish their builds, and the
+// goroutine count returns to its baseline.
+func TestAbandonedRoutedStreamsSettle(t *testing.T) {
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/stream", `{"all":true,"workers":1}`},
+		{"/v1/audit/stream", `{"workers":1}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			f := startFleet(t, 2)
+			base := settledGoroutines()
+			resp, err := http.Post(f.rtSrv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+			resp.Body.Close()
+			if err != nil || !bytes.Contains(line, []byte(`"pair":{`)) {
+				t.Fatalf("first line %q (%v), want a pair progress line", line, err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for liveGoroutines() > base {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// liveGoroutines closes the idle keep-alive connections of the default
+// transport, which the test client and the router's shard clients
+// share, and counts the goroutines left.
+func liveGoroutines() int {
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	return runtime.NumGoroutine()
+}
+
+// settledGoroutines waits for the goroutine count to hold still over
+// three samples, so goroutines of earlier tests still winding down do
+// not inflate the baseline.
+func settledGoroutines() int {
+	n, same := liveGoroutines(), 0
+	for same < 3 {
+		time.Sleep(10 * time.Millisecond)
+		if m := liveGoroutines(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }

@@ -7,6 +7,11 @@
 // builder a single binary runs, and corpus deltas fan out to every
 // shard. Replicas started with the matching -shard-index/-shard-count
 // filter warm-load only the slice of the snapshot the map assigns them.
+//
+// The router has no HTTP layer of its own. *Router is a
+// service.Backend whose Serve methods return the same DTOs and line
+// channels a session's do, and Handler serves it through
+// service.NewHandler, the handler a single binary runs.
 package router
 
 import (

@@ -14,7 +14,7 @@ import (
 // ServeAuditStream sit behind POST /v1/audit and /v1/audit/stream, the
 // Go client's backends and the CLI's audit subcommand; like the match
 // endpoints, everything funnels through protocol.AuditRequest.Validate
-// and one DTO assembly (AuditDTO), so a routed audit serializes
+// and one DTO assembly (auditDTO), so a routed audit serializes
 // byte-identically to a single binary's.
 
 // ServeAudit answers an AuditRequest: run (or reuse, when the request
@@ -44,7 +44,7 @@ func (s *Session) ServeAudit(ctx context.Context, req protocol.AuditRequest) (*p
 	}
 	report := audit.Run(s.Corpus(), clusters, audit.Options{MinSeverity: r.MinSev})
 	findings := filterFindings(report.Findings, r)
-	resp := AuditDTO(r, pairs, len(clusters), report, findings, msSince(start), s.CacheStats())
+	resp := auditDTO(r, pairs, len(clusters), report, findings, msSince(start), s.CacheStats())
 	return &resp, nil
 }
 
@@ -109,7 +109,7 @@ func (s *Session) emitAudit(out chan<- protocol.StreamLine, r protocol.ResolvedA
 	for i := range dtos {
 		out <- protocol.StreamLine{Done: i + 1, Total: len(dtos), Finding: &dtos[i]}
 	}
-	final := AuditDTO(r, pairs, len(clusters), report, findings, msSince(start), s.CacheStats())
+	final := auditDTO(r, pairs, len(clusters), report, findings, msSince(start), s.CacheStats())
 	out <- protocol.StreamLine{Done: len(dtos), Total: len(dtos), FinalAudit: &final}
 }
 
@@ -141,10 +141,11 @@ func pairOf(a, b wiki.Language) [2]wiki.Language {
 	return [2]wiki.Language{a, b}
 }
 
-// AuditDTO flattens an audit outcome for the wire. It is the one
-// assembly path for AuditResponse bodies — ServeAudit, the audit stream
-// and the fleet router all go through it.
-func AuditDTO(r protocol.ResolvedAudit, pairs []protocol.MatchAllPair, clusters int, report *audit.Report, findings []audit.Finding, elapsedMS float64, cache protocol.CacheStats) protocol.AuditResponse {
+// auditDTO flattens an audit outcome for the wire. It is the one
+// assembly path for AuditResponse bodies: ServeAudit and the audit
+// stream both go through it, and a fleet's audit reaches it on the
+// shard its clusters are forwarded to.
+func auditDTO(r protocol.ResolvedAudit, pairs []protocol.MatchAllPair, clusters int, report *audit.Report, findings []audit.Finding, elapsedMS float64, cache protocol.CacheStats) protocol.AuditResponse {
 	return protocol.AuditResponse{
 		Mode:      r.Multi.Mode.String(),
 		Hub:       r.Multi.Hub.String(),

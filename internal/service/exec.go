@@ -15,7 +15,8 @@ import (
 // the Go client's in-process backend and the CLI: every entrypoint
 // builds a protocol.MatchRequest and funnels it through here, so
 // validation, threshold overrides and response assembly cannot drift
-// between surfaces.
+// between surfaces. With the audit and control-plane methods below they
+// make *Session the single binary's Backend.
 
 // ServeMatch answers a pair or single-type MatchRequest. All-pairs
 // requests are rejected — they belong to ServeMatchAll.
@@ -156,9 +157,9 @@ func (s *Session) relayPairStream(r protocol.Resolved, start time.Time, updates 
 // one Pair line per finished language pair, then a FinalAll line built
 // by MatchAllDTO. cache supplies the cache-stats snapshot stamped into
 // the final response at assembly time. The output channel is buffered
-// for the whole stream, like the input. Exported for the fleet router,
-// whose scatter-gathered all-pairs stream rides the same relay as a
-// single binary's.
+// for the whole stream, like the input. A fleet's scatter-gathered
+// all-pairs stream rides the same relay, so its lines match a single
+// binary's.
 func RelayAllStream(updates <-chan multi.Update, cache func() protocol.CacheStats) <-chan protocol.StreamLine {
 	out := make(chan protocol.StreamLine, cap(updates)+1)
 	go func() {
@@ -180,14 +181,52 @@ func RelayAllStream(updates <-chan multi.Update, cache func() protocol.CacheStat
 	return out
 }
 
-// Stats snapshots the corpus, cache and configuration — the body of
-// GET /v1/corpus.
-func (s *Session) Stats() protocol.StatsResponse {
-	return protocol.StatsResponse{
+// ServeCorpus snapshots the corpus, cache and configuration — the
+// body of GET /v1/corpus.
+func (s *Session) ServeCorpus(context.Context) (*protocol.StatsResponse, error) {
+	return &protocol.StatsResponse{
 		Corpus: s.Corpus().Stats(),
 		Cache:  s.CacheStats(),
 		Config: s.cfg,
+	}, nil
+}
+
+// ServeInvalidate drops the cached artifacts of the request's language
+// ("" = all) and reports how many pair and type entries went.
+func (s *Session) ServeInvalidate(_ context.Context, req protocol.InvalidateRequest) (*protocol.InvalidateResponse, error) {
+	lang, err := req.Validate()
+	if err != nil {
+		return nil, err
 	}
+	pairs, types := s.invalidate(lang)
+	return &protocol.InvalidateResponse{Dropped: pairs + types, Pairs: pairs, Types: types}, nil
+}
+
+// DeltaBody is ServeDelta as the Backend returns it.
+func (s *Session) DeltaBody(ctx context.Context, req protocol.DeltaRequest) (any, error) {
+	return s.ServeDelta(ctx, req)
+}
+
+// HealthBody answers GET /v1/healthz: uptime since started, the
+// snapshot the session was restored from, and cache stats.
+func (s *Session) HealthBody(_ context.Context, started time.Time) (any, error) {
+	h := protocol.Health{
+		Status:        "ok",
+		UptimeSeconds: time.Since(started).Seconds(),
+		Cache:         s.CacheStats(),
+	}
+	if at, ok := s.SnapshotTime(); ok {
+		h.Snapshot.Loaded = true
+		h.Snapshot.CreatedAt = at.UTC().Format(time.RFC3339Nano)
+		h.Snapshot.AgeSeconds = time.Since(at).Seconds()
+	}
+	return h, nil
+}
+
+// MetricsBody answers GET /v1/metrics with the middleware's own
+// counters; a single binary has nothing to add to them.
+func (s *Session) MetricsBody(_ context.Context, stack protocol.Metrics) (any, error) {
+	return stack, nil
 }
 
 // matcherFor resolves the matcher a request runs with: the session's
@@ -250,8 +289,7 @@ func MatchAllDTO(res *multi.BatchResult, elapsedMS float64, cache protocol.Cache
 	return resp
 }
 
-// PairOutcomeDTO flattens one batch pair outcome for the wire. Exported
-// alongside MatchAllDTO for the fleet router's stream relay.
+// PairOutcomeDTO flattens one batch pair outcome for the wire.
 func PairOutcomeDTO(o *multi.PairOutcome) protocol.MatchAllPair {
 	out := protocol.MatchAllPair{
 		Pair:            o.Pair.String(),

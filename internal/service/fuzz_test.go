@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzDecodeMatchRequest feeds raw request bodies through the /v1/match
-// decode path: DecodeBody, then MatchRequest.Validate. Neither may
+// decode path: decodeBody, then MatchRequest.Validate. Neither may
 // panic, and every rejection must be a *protocol.Error with
 // invalid_argument, as Validate documents. Run with:
 //
@@ -59,7 +59,7 @@ func FuzzDecodeMatchRequest(f *testing.F) {
 }
 
 // FuzzDecodeAuditRequest feeds raw request bodies through the /v1/audit
-// decode path: DecodeBody, then AuditRequest.Validate. Neither may
+// decode path: decodeBody, then AuditRequest.Validate. Neither may
 // panic, and every rejection must be a *protocol.Error with
 // invalid_argument. Run with:
 //
@@ -107,7 +107,7 @@ func FuzzDecodeAuditRequest(f *testing.F) {
 func decodeAudit(body string) (protocol.AuditRequest, *protocol.Error) {
 	var req protocol.AuditRequest
 	r := httptest.NewRequest(http.MethodPost, "/v1/audit", strings.NewReader(body))
-	e := DecodeBody(r, &req)
+	e := decodeBody(r, &req)
 	return req, e
 }
 
@@ -115,6 +115,6 @@ func decodeAudit(body string) (protocol.AuditRequest, *protocol.Error) {
 func decodeMatch(body string) (protocol.MatchRequest, *protocol.Error) {
 	var req protocol.MatchRequest
 	r := httptest.NewRequest(http.MethodPost, "/v1/match", strings.NewReader(body))
-	e := DecodeBody(r, &req)
+	e := decodeBody(r, &req)
 	return req, e
 }

@@ -18,20 +18,46 @@ import (
 // endpoint is POST JSON over protocol.MatchRequest; every error is a
 // structured envelope (code / message / retryable / details).
 
-// serverState bundles what the handlers need beyond the session: the
+// Backend is what NewHandler serves: the typed execution behind every
+// /v1 route. *Session implements it for the single binary, and the
+// fleet router (internal/router) implements it over its shards, so both
+// share one route table, method guard, body decoder, shard gate and
+// middleware stack. The handler decodes each body and passes it on
+// unvalidated; validation belongs to the backend, which returns
+// protocol errors (or errors protocol.FromErr classifies).
+//
+// The control-plane bodies differ between the two: a fleet answers a
+// delta, a health probe and a metrics scrape with FleetDeltaResponse,
+// FleetHealth and FleetMetrics. Those three methods therefore return
+// the body to encode, and the handler hands health and metrics its own
+// start time and middleware counters.
+type Backend interface {
+	ServeMatch(ctx context.Context, req protocol.MatchRequest) (*protocol.MatchResponse, error)
+	ServeMatchAll(ctx context.Context, req protocol.MatchRequest) (*protocol.MatchAllResponse, error)
+	ServeStream(ctx context.Context, req protocol.MatchRequest) (<-chan protocol.StreamLine, error)
+	ServeAudit(ctx context.Context, req protocol.AuditRequest) (*protocol.AuditResponse, error)
+	ServeAuditStream(ctx context.Context, req protocol.AuditRequest) (<-chan protocol.StreamLine, error)
+	ServeCorpus(ctx context.Context) (*protocol.StatsResponse, error)
+	ServeInvalidate(ctx context.Context, req protocol.InvalidateRequest) (*protocol.InvalidateResponse, error)
+	DeltaBody(ctx context.Context, req protocol.DeltaRequest) (any, error)
+	HealthBody(ctx context.Context, started time.Time) (any, error)
+	MetricsBody(ctx context.Context, stack protocol.Metrics) (any, error)
+}
+
+// serverState bundles what the handlers need beyond the backend: the
 // stack configuration, process start time (for /v1/healthz) and the
 // middleware's live counters (for /v1/metrics).
 type serverState struct {
-	s       *Session
+	b       Backend
 	cfg     HandlerConfig
 	started time.Time
 	metrics *serverMetrics
 }
 
-// NewHandler builds the wikimatchd HTTP API over one shared session:
-// the typed /v1/ protocol wrapped in the middleware stack (request IDs,
-// access log, per-request timeouts, load shedding, panic recovery,
-// metrics).
+// NewHandler builds the wikimatchd HTTP API over one backend — a
+// shared session, or a fleet router: the typed /v1/ protocol wrapped in
+// the middleware stack (request IDs, access log, per-request timeouts,
+// load shedding, panic recovery, metrics).
 //
 //	POST /v1/match         pair or single-type match, JSON in/out
 //	POST /v1/matchall      all-pairs batch with correspondence clusters
@@ -45,16 +71,11 @@ type serverState struct {
 //	GET  /v1/metrics       middleware counters
 //
 // Every other path answers with the structured not_found envelope.
-func NewHandler(s *Session, opts ...HandlerOption) http.Handler {
-	cfg := DefaultHandlerConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	cfg = cfg.withDefaults()
-	st := &serverState{s: s, cfg: cfg, started: time.Now()}
+func NewHandler(b Backend, opts ...HandlerOption) http.Handler {
+	st := &serverState{b: b, cfg: newHandlerConfig(opts), started: time.Now()}
 	mux := http.NewServeMux()
 	registerV1(mux, st)
-	h, metrics := wrapMiddleware(mux, cfg)
+	h, metrics := wrapMiddleware(mux, st.cfg)
 	st.metrics = metrics
 	return h
 }
@@ -63,22 +84,38 @@ func NewHandler(s *Session, opts ...HandlerOption) http.Handler {
 type route struct {
 	method, path string
 	handle       func(*serverState, http.ResponseWriter, *http.Request)
+	// stream marks NDJSON endpoints: exempt from the per-request
+	// timeout, subject to the stream cap instead.
+	stream bool
+	// probe marks control-plane endpoints the limiter never sheds: an
+	// overloaded server still answers health checks.
+	probe bool
 }
 
 // v1Routes is the one table of protocol v1 endpoints: registerV1 mounts
-// each entry and routeLabel gives each its own metrics label, so the
-// two cannot drift apart.
+// each entry, and the middleware reads each entry's metrics label,
+// stream flag and probe flag from it, so none of them can drift apart.
 var v1Routes = []route{
-	{http.MethodPost, "/v1/match", (*serverState).handleMatch},
-	{http.MethodPost, "/v1/matchall", (*serverState).handleMatchAll},
-	{http.MethodPost, "/v1/stream", (*serverState).handleStream},
-	{http.MethodPost, "/v1/audit", (*serverState).handleAudit},
-	{http.MethodPost, "/v1/audit/stream", (*serverState).handleAuditStream},
-	{http.MethodGet, "/v1/corpus", (*serverState).handleCorpus},
-	{http.MethodPost, "/v1/corpus/delta", (*serverState).handleDelta},
-	{http.MethodPost, "/v1/invalidate", (*serverState).handleInvalidate},
-	{http.MethodGet, "/v1/healthz", (*serverState).handleHealthz},
-	{http.MethodGet, "/v1/metrics", (*serverState).handleMetrics},
+	{method: http.MethodPost, path: "/v1/match", handle: (*serverState).handleMatch},
+	{method: http.MethodPost, path: "/v1/matchall", handle: (*serverState).handleMatchAll},
+	{method: http.MethodPost, path: "/v1/stream", handle: (*serverState).handleStream, stream: true},
+	{method: http.MethodPost, path: "/v1/audit", handle: (*serverState).handleAudit},
+	{method: http.MethodPost, path: "/v1/audit/stream", handle: (*serverState).handleAuditStream, stream: true},
+	{method: http.MethodGet, path: "/v1/corpus", handle: (*serverState).handleCorpus},
+	{method: http.MethodPost, path: "/v1/corpus/delta", handle: (*serverState).handleDelta},
+	{method: http.MethodPost, path: "/v1/invalidate", handle: (*serverState).handleInvalidate},
+	{method: http.MethodGet, path: "/v1/healthz", handle: (*serverState).handleHealthz, probe: true},
+	{method: http.MethodGet, path: "/v1/metrics", handle: (*serverState).handleMetrics, probe: true},
+}
+
+// findRoute returns the v1 route serving path, or nil.
+func findRoute(path string) *route {
+	for i := range v1Routes {
+		if v1Routes[i].path == path {
+			return &v1Routes[i]
+		}
+	}
+	return nil
 }
 
 func registerV1(mux *http.ServeMux, st *serverState) {
@@ -90,7 +127,7 @@ func registerV1(mux *http.ServeMux, st *serverState) {
 	// Unknown routes get the structured envelope, not net/http's
 	// plain-text 404.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		WriteEnvelope(w, protocol.Errorf(protocol.CodeNotFound, "no such endpoint %s", r.URL.Path))
+		writeEnvelope(w, protocol.Errorf(protocol.CodeNotFound, "no such endpoint %s", r.URL.Path))
 	})
 }
 
@@ -99,7 +136,7 @@ func (st *serverState) method(want string, h http.HandlerFunc) http.HandlerFunc 
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != want {
 			w.Header().Set("Allow", want)
-			WriteEnvelope(w, protocol.Errorf(protocol.CodeMethodNotAllowed,
+			writeEnvelope(w, protocol.Errorf(protocol.CodeMethodNotAllowed,
 				"method %s not allowed on %s (use %s)", r.Method, r.URL.Path, want))
 			return
 		}
@@ -107,12 +144,11 @@ func (st *serverState) method(want string, h http.HandlerFunc) http.HandlerFunc 
 	}
 }
 
-// DecodeBody decodes a JSON request body strictly: unknown fields and
+// decodeBody decodes a JSON request body strictly: unknown fields and
 // trailing data after the first value are protocol errors. An empty
 // body decodes to the zero request, so `curl -X POST /v1/match` runs
-// the default pt-en pair. Exported for the fleet router, which decodes
-// the same request shapes before routing them.
-func DecodeBody(r *http.Request, v any) *protocol.Error {
+// the default pt-en pair.
+func decodeBody(r *http.Request, v any) *protocol.Error {
 	if r.Body == nil {
 		return nil
 	}
@@ -145,88 +181,83 @@ func bodyError(err error, override string) *protocol.Error {
 	return protocol.Errorf(protocol.CodeInvalidArgument, "invalid request body: %v", err)
 }
 
+// respond writes a backend's answer, or its error as the envelope.
+func respond(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		writeEnvelope(w, protocol.FromErr(err))
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
 func (st *serverState) handleMatch(w http.ResponseWriter, r *http.Request) {
 	var req protocol.MatchRequest
-	if e := DecodeBody(r, &req); e != nil {
-		WriteEnvelope(w, e)
+	if e := decodeBody(r, &req); e != nil {
+		writeEnvelope(w, e)
 		return
 	}
 	if e := st.gatePair(req); e != nil {
-		WriteEnvelope(w, e)
+		writeEnvelope(w, e)
 		return
 	}
-	resp, err := st.s.ServeMatch(r.Context(), req)
-	if err != nil {
-		WriteEnvelope(w, protocol.FromErr(err))
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	resp, err := st.b.ServeMatch(r.Context(), req)
+	respond(w, resp, err)
 }
 
 func (st *serverState) handleMatchAll(w http.ResponseWriter, r *http.Request) {
 	var req protocol.MatchRequest
-	if e := DecodeBody(r, &req); e != nil {
-		WriteEnvelope(w, e)
+	if e := decodeBody(r, &req); e != nil {
+		writeEnvelope(w, e)
 		return
 	}
 	if !req.All && (req.Pair != "" || req.Type != "") {
-		WriteEnvelope(w, protocol.Errorf(protocol.CodeInvalidArgument,
+		writeEnvelope(w, protocol.Errorf(protocol.CodeInvalidArgument,
 			"pair-scoped request must be sent to /v1/match"))
 		return
 	}
 	req.All = true
 	if e := st.gatePair(req); e != nil {
-		WriteEnvelope(w, e)
+		writeEnvelope(w, e)
 		return
 	}
-	resp, err := st.s.ServeMatchAll(r.Context(), req)
-	if err != nil {
-		WriteEnvelope(w, protocol.FromErr(err))
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	resp, err := st.b.ServeMatchAll(r.Context(), req)
+	respond(w, resp, err)
 }
 
 func (st *serverState) handleStream(w http.ResponseWriter, r *http.Request) {
 	var req protocol.MatchRequest
-	if e := DecodeBody(r, &req); e != nil {
-		WriteEnvelope(w, e)
+	if e := decodeBody(r, &req); e != nil {
+		writeEnvelope(w, e)
+		return
+	}
+	if e := st.gatePair(req); e != nil {
+		writeEnvelope(w, e)
 		return
 	}
 	// The relay's cancel is the slow-reader guard's lever: a write
 	// deadline miss cancels the in-flight matching work, and the
-	// session-side buffers (sized for the whole run) are dropped with the
+	// backend-side buffers (sized for the whole run) are dropped with the
 	// channel instead of pinning until the client drains them.
-	if e := st.gatePair(req); e != nil {
-		WriteEnvelope(w, e)
-		return
-	}
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	lines, err := st.s.ServeStream(ctx, req)
+	lines, err := st.b.ServeStream(ctx, req)
+	st.streamNDJSON(w, cancel, lines, err)
+}
+
+// streamNDJSON writes a backend's line stream as NDJSON, or its error
+// as the envelope, with the slow-reader guard applied: each line's
+// write runs under a fresh deadline of the stack's StreamWriteTimeout
+// (negative disables the guard) — armed immediately before the write,
+// so slow matching between lines never counts against it — and a failed
+// write cancels the producer and drains it so no goroutine or buffer
+// outlives the dead connection. Writers without deadline support
+// (httptest recorders) just skip the guard.
+func (st *serverState) streamNDJSON(w http.ResponseWriter, cancel context.CancelFunc, lines <-chan protocol.StreamLine, err error) {
 	if err != nil {
-		WriteEnvelope(w, protocol.FromErr(err))
+		writeEnvelope(w, protocol.FromErr(err))
 		return
 	}
-	st.streamNDJSON(w, cancel, lines)
-}
-
-// streamNDJSON applies the stack's configured write timeout to
-// WriteNDJSONStream.
-func (st *serverState) streamNDJSON(w http.ResponseWriter, cancel context.CancelFunc, lines <-chan protocol.StreamLine) {
-	WriteNDJSONStream(w, st.cfg.StreamWriteTimeout, cancel, lines)
-}
-
-// WriteNDJSONStream writes a line stream as NDJSON with the
-// slow-reader guard applied: each line's write runs under a fresh
-// deadline of writeTimeout (≤ 0 disables the guard) — armed immediately
-// before the write, so slow matching between lines never counts against
-// it — and a failed write cancels the producer and drains it so no
-// goroutine or buffer outlives the dead connection. Writers without
-// deadline support (httptest recorders) just skip the guard. Exported
-// for the fleet router, whose streamed endpoints relay shard lines
-// through the same guard.
-func WriteNDJSONStream(w http.ResponseWriter, writeTimeout time.Duration, cancel context.CancelFunc, lines <-chan protocol.StreamLine) {
+	writeTimeout := st.cfg.StreamWriteTimeout
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
@@ -280,40 +311,32 @@ func (st *serverState) gatePair(req protocol.MatchRequest) *protocol.Error {
 
 func (st *serverState) handleAudit(w http.ResponseWriter, r *http.Request) {
 	var req protocol.AuditRequest
-	if e := DecodeBody(r, &req); e != nil {
-		WriteEnvelope(w, e)
+	if e := decodeBody(r, &req); e != nil {
+		writeEnvelope(w, e)
 		return
 	}
 	if e := st.gateAudit(req); e != nil {
-		WriteEnvelope(w, e)
+		writeEnvelope(w, e)
 		return
 	}
-	resp, err := st.s.ServeAudit(r.Context(), req)
-	if err != nil {
-		WriteEnvelope(w, protocol.FromErr(err))
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	resp, err := st.b.ServeAudit(r.Context(), req)
+	respond(w, resp, err)
 }
 
 func (st *serverState) handleAuditStream(w http.ResponseWriter, r *http.Request) {
 	var req protocol.AuditRequest
-	if e := DecodeBody(r, &req); e != nil {
-		WriteEnvelope(w, e)
+	if e := decodeBody(r, &req); e != nil {
+		writeEnvelope(w, e)
 		return
 	}
 	if e := st.gateAudit(req); e != nil {
-		WriteEnvelope(w, e)
+		writeEnvelope(w, e)
 		return
 	}
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	lines, err := st.s.ServeAuditStream(ctx, req)
-	if err != nil {
-		WriteEnvelope(w, protocol.FromErr(err))
-		return
-	}
-	st.streamNDJSON(w, cancel, lines)
+	lines, err := st.b.ServeAuditStream(ctx, req)
+	st.streamNDJSON(w, cancel, lines, err)
 }
 
 // gateAudit enforces the shard-ownership gate on audit requests: a
@@ -331,62 +354,41 @@ func (st *serverState) gateAudit(req protocol.AuditRequest) *protocol.Error {
 }
 
 func (st *serverState) handleCorpus(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, st.s.Stats())
+	resp, err := st.b.ServeCorpus(r.Context())
+	respond(w, resp, err)
 }
 
 func (st *serverState) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	var req protocol.InvalidateRequest
-	if e := DecodeBody(r, &req); e != nil {
-		WriteEnvelope(w, e)
+	if e := decodeBody(r, &req); e != nil {
+		writeEnvelope(w, e)
 		return
 	}
-	lang, err := req.Validate()
-	if err != nil {
-		WriteEnvelope(w, protocol.FromErr(err))
-		return
-	}
-	pairs, types := st.s.InvalidateDetail(lang)
-	WriteJSON(w, http.StatusOK, protocol.InvalidateResponse{
-		Dropped: pairs + types,
-		Pairs:   pairs,
-		Types:   types,
-	})
+	resp, err := st.b.ServeInvalidate(r.Context(), req)
+	respond(w, resp, err)
 }
 
 func (st *serverState) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var req protocol.DeltaRequest
-	if e := DecodeBody(r, &req); e != nil {
-		WriteEnvelope(w, e)
+	if e := decodeBody(r, &req); e != nil {
+		writeEnvelope(w, e)
 		return
 	}
-	resp, err := st.s.ServeDelta(r.Context(), req)
-	if err != nil {
-		WriteEnvelope(w, protocol.FromErr(err))
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	resp, err := st.b.DeltaBody(r.Context(), req)
+	respond(w, resp, err)
 }
 
 func (st *serverState) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := protocol.Health{
-		Status:        "ok",
-		UptimeSeconds: time.Since(st.started).Seconds(),
-		Cache:         st.s.CacheStats(),
-	}
-	if at, ok := st.s.SnapshotTime(); ok {
-		h.Snapshot.Loaded = true
-		h.Snapshot.CreatedAt = at.UTC().Format(time.RFC3339Nano)
-		h.Snapshot.AgeSeconds = time.Since(at).Seconds()
-	}
-	WriteJSON(w, http.StatusOK, h)
+	resp, err := st.b.HealthBody(r.Context(), st.started)
+	respond(w, resp, err)
 }
 
 func (st *serverState) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, st.metrics.snapshot())
+	resp, err := st.b.MetricsBody(r.Context(), st.metrics.snapshot())
+	respond(w, resp, err)
 }
 
-// WriteJSON writes v as a JSON response body. Exported for the fleet
-// router, which serves the same wire shapes.
+// writeJSON writes v as a JSON response body.
 //
 // The body is encoded whole and sent with its Content-Length, not
 // chunked. A chunked body ends with a terminator written only after the
@@ -394,7 +396,7 @@ func (st *serverState) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // value closes the body before that terminator arrives, and its
 // transport then drops the connection. Whether it arrived in time is a
 // race, so without a length the next request would reconnect at random.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledJSON {
@@ -409,7 +411,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// jsonBufs recycles WriteJSON's encode buffers, so a response costs no
+// jsonBufs recycles writeJSON's encode buffers, so a response costs no
 // garbage beyond its encoding; buffers grown past maxPooledJSON (a large
 // matchall answer) are left to the collector instead of pinned.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}

@@ -17,9 +17,8 @@ import (
 // The composable middleware stack wrapping the wikimatchd mux. Order
 // (outermost first): request ID → access log → metrics → panic
 // recovery → concurrency limiter → per-request timeout → body limit.
-// The stack is exposed standalone as WrapMiddleware so its behaviour is
-// testable around arbitrary handlers, and NewHandler applies it around
-// the protocol routes.
+// NewHandler applies it around the protocol routes; wrapMiddleware
+// builds it around any handler, so its tests can drive it alone.
 
 // HandlerConfig tunes the HTTP stack. The zero value is usable;
 // DefaultHandlerConfig documents the defaults NewHandler starts from.
@@ -67,7 +66,12 @@ func DefaultHandlerConfig() HandlerConfig {
 	}
 }
 
-func (c HandlerConfig) withDefaults() HandlerConfig {
+// newHandlerConfig applies opts over the defaults.
+func newHandlerConfig(opts []HandlerOption) HandlerConfig {
+	c := DefaultHandlerConfig()
+	for _, opt := range opts {
+		opt(&c)
+	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
@@ -194,16 +198,14 @@ func (m *serverMetrics) snapshot() protocol.Metrics {
 }
 
 // routeLabel normalizes a request to a bounded metrics key: each v1
-// route gets its own label and every other path shares an "other"
-// bucket, so an URL-spraying client cannot poison the per-route table.
-// The maxRoutes cap remains as a backstop.
-func routeLabel(r *http.Request) string {
-	for _, rt := range v1Routes {
-		if r.URL.Path == rt.path {
-			return r.Method + " " + rt.path
-		}
+// route gets its own label and every other path (rt nil) shares an
+// "other" bucket, so an URL-spraying client cannot poison the
+// per-route table. The maxRoutes cap remains as a backstop.
+func routeLabel(r *http.Request, rt *route) string {
+	if rt == nil {
+		return "other"
 	}
-	return "other"
+	return r.Method + " " + rt.path
 }
 
 // statusWriter records the response status for logging and metrics
@@ -239,39 +241,6 @@ func (w *statusWriter) Flush() {
 // SetWriteDeadline.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// controlPlanePath reports probe endpoints the limiter must never shed:
-// an overloaded server still answers health checks.
-func controlPlanePath(path string) bool {
-	switch path {
-	case "/v1/healthz", "/v1/metrics":
-		return true
-	}
-	return false
-}
-
-// streamPath reports NDJSON endpoints, which are exempt from the
-// per-request timeout and subject to the stream cap instead.
-func streamPath(path string) bool {
-	switch path {
-	case "/v1/stream", "/v1/audit/stream":
-		return true
-	}
-	return false
-}
-
-// WrapMiddleware wraps any handler in the v1 middleware stack and
-// returns it together with a snapshot function over the stack's live
-// counters (the same data /v1/metrics serves when NewHandler builds
-// the stack).
-func WrapMiddleware(next http.Handler, opts ...HandlerOption) (http.Handler, func() protocol.Metrics) {
-	cfg := DefaultHandlerConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	h, metrics := wrapMiddleware(next, cfg.withDefaults())
-	return h, metrics.snapshot
-}
-
 func wrapMiddleware(next http.Handler, cfg HandlerConfig) (http.Handler, *serverMetrics) {
 	metrics := newServerMetrics()
 	var reqCounter atomic.Uint64
@@ -293,6 +262,7 @@ func wrapMiddleware(next http.Handler, cfg HandlerConfig) (http.Handler, *server
 		w.Header().Set("X-Request-Id", id)
 		ctx := protocol.ContextWithRequestID(r.Context(), id)
 		r = r.WithContext(ctx)
+		rt := findRoute(r.URL.Path)
 
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -310,10 +280,10 @@ func wrapMiddleware(next http.Handler, cfg HandlerConfig) (http.Handler, *server
 						r.Method, r.URL.Path, id, rec, debug.Stack())
 				}
 				if !midResponse {
-					WriteEnvelope(sw, protocol.Errorf(protocol.CodeInternal, "internal server error").WithDetail("requestId", id))
+					writeEnvelope(sw, protocol.Errorf(protocol.CodeInternal, "internal server error").WithDetail("requestId", id))
 				}
 			}
-			metrics.record(routeLabel(r), sw.status)
+			metrics.record(routeLabel(r, rt), sw.status)
 			if cfg.Logger != nil {
 				cfg.Logger.Printf("%s %s %d %s id=%s", r.Method, r.URL.RequestURI(), sw.status,
 					time.Since(start).Round(time.Microsecond), id)
@@ -327,7 +297,7 @@ func wrapMiddleware(next http.Handler, cfg HandlerConfig) (http.Handler, *server
 			}
 		}()
 
-		if !controlPlanePath(r.URL.Path) {
+		if rt == nil || !rt.probe {
 			// Load shedding: non-blocking admission, 429 + Retry-After on a
 			// full server. Streams additionally take a stream slot.
 			if sem != nil {
@@ -339,7 +309,8 @@ func wrapMiddleware(next http.Handler, cfg HandlerConfig) (http.Handler, *server
 					return
 				}
 			}
-			if streamSem != nil && streamPath(r.URL.Path) {
+			stream := rt != nil && rt.stream
+			if streamSem != nil && stream {
 				select {
 				case streamSem <- struct{}{}:
 					defer func() { <-streamSem }()
@@ -348,7 +319,7 @@ func wrapMiddleware(next http.Handler, cfg HandlerConfig) (http.Handler, *server
 					return
 				}
 			}
-			if cfg.RequestTimeout > 0 && !streamPath(r.URL.Path) {
+			if cfg.RequestTimeout > 0 && !stream {
 				tctx, cancel := context.WithTimeout(r.Context(), cfg.RequestTimeout)
 				defer cancel()
 				r = r.WithContext(tctx)
@@ -366,7 +337,7 @@ func wrapMiddleware(next http.Handler, cfg HandlerConfig) (http.Handler, *server
 func shed(w http.ResponseWriter, m *serverMetrics) {
 	m.shed.Add(1)
 	w.Header().Set("Retry-After", "1")
-	WriteEnvelope(w, protocol.Errorf(protocol.CodeOverloaded, "server is at its concurrency limit; retry shortly"))
+	writeEnvelope(w, protocol.Errorf(protocol.CodeOverloaded, "server is at its concurrency limit; retry shortly"))
 }
 
 // validRequestID accepts short printable ASCII tokens, rejecting
@@ -375,8 +346,8 @@ func shed(w http.ResponseWriter, m *serverMetrics) {
 // forwarding.
 func validRequestID(id string) bool { return protocol.ValidRequestID(id) }
 
-// WriteEnvelope writes a structured protocol error with its transport
+// writeEnvelope writes a structured protocol error with its transport
 // status.
-func WriteEnvelope(w http.ResponseWriter, e *protocol.Error) {
-	WriteJSON(w, e.HTTPStatus(), protocol.ErrorEnvelope{Error: e})
+func writeEnvelope(w http.ResponseWriter, e *protocol.Error) {
+	writeJSON(w, e.HTTPStatus(), protocol.ErrorEnvelope{Error: e})
 }

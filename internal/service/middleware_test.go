@@ -15,6 +15,13 @@ import (
 	"repro/internal/protocol"
 )
 
+// wrapWith wraps next in the middleware stack configured by opts and
+// returns it with a snapshot function over the stack's live counters.
+func wrapWith(next http.Handler, opts ...HandlerOption) (http.Handler, func() protocol.Metrics) {
+	h, metrics := wrapMiddleware(next, newHandlerConfig(opts))
+	return h, metrics.snapshot
+}
+
 // decodeEnvelope reads a structured v1 error body.
 func decodeEnvelope(t *testing.T, body io.Reader) *protocol.Error {
 	t.Helper()
@@ -41,7 +48,7 @@ func TestConcurrencyLimiterUnderContention(t *testing.T) {
 		<-release
 		w.WriteHeader(http.StatusOK)
 	})
-	h, metrics := WrapMiddleware(inner, WithMaxConcurrent(limit))
+	h, metrics := wrapWith(inner, WithMaxConcurrent(limit))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -126,13 +133,13 @@ func TestStreamCapSeparateFromUnary(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if streamPath(r.URL.Path) {
+		if rt := findRoute(r.URL.Path); rt != nil && rt.stream {
 			entered <- struct{}{}
 			<-release
 		}
 		w.WriteHeader(http.StatusOK)
 	})
-	h, _ := WrapMiddleware(inner, WithMaxConcurrent(0), WithMaxStreams(1))
+	h, _ := wrapWith(inner, WithMaxConcurrent(0), WithMaxStreams(1))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -178,7 +185,7 @@ func TestPanicRecovery(t *testing.T) {
 		panic("kaboom")
 	})
 	var buf strings.Builder
-	h, metrics := WrapMiddleware(inner, WithAccessLog(log.New(&buf, "", 0)))
+	h, metrics := wrapWith(inner, WithAccessLog(log.New(&buf, "", 0)))
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -213,7 +220,7 @@ func TestRequestIDPropagation(t *testing.T) {
 		seen = RequestID(r.Context())
 		w.WriteHeader(http.StatusNoContent)
 	})
-	h, _ := WrapMiddleware(inner)
+	h, _ := wrapWith(inner)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -391,7 +398,7 @@ func TestPanicAfterWriteAborts(t *testing.T) {
 		}
 		panic("mid-stream")
 	})
-	h, metrics := WrapMiddleware(inner)
+	h, metrics := wrapWith(inner)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -413,7 +420,7 @@ func TestPanicAfterWriteAborts(t *testing.T) {
 // label of its own.
 func TestRouteLabelBounded(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNotFound) })
-	h, metrics := WrapMiddleware(inner)
+	h, metrics := wrapWith(inner)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -20,6 +20,11 @@
 // session swaps in an edited corpus copy-on-write and invalidates
 // exactly the graph nodes the edit dirtied, so a re-match after a
 // single-article edit rebuilds only that article's type artifacts.
+//
+// NewHandler (handlers.go) is the one /v1 HTTP layer: route table,
+// method guard, body decoding, shard gate and middleware stack. It
+// serves any Backend; *Session is the single binary's, and the fleet
+// router (internal/router) is the other.
 package service
 
 import (
@@ -254,14 +259,13 @@ func (s *Session) Dictionary(ctx context.Context, pair wiki.LanguagePair) (*dict
 // orphaned: they complete into their discarded entries, waiters retry,
 // and the next request rebuilds.
 func (s *Session) Invalidate(lang wiki.Language) int {
-	pairs, types := s.InvalidateDetail(lang)
+	pairs, types := s.invalidate(lang)
 	return pairs + types
 }
 
-// InvalidateDetail is Invalidate with the per-kind breakdown the v1
-// wire response reports: how many pair and how many type entries were
-// dropped.
-func (s *Session) InvalidateDetail(lang wiki.Language) (pairs, types int) {
+// invalidate is Invalidate with the per-kind breakdown ServeInvalidate
+// reports: how many pair and how many type entries were dropped.
+func (s *Session) invalidate(lang wiki.Language) (pairs, types int) {
 	var dropped map[artifact.Kind]int
 	if lang == "" {
 		dropped = s.eng.InvalidateAll()

@@ -130,7 +130,7 @@ func v1GoldenCases() []v1GoldenCase {
 					}
 					<-release
 				})
-				h, _ := WrapMiddleware(inner, WithMaxConcurrent(1))
+				h, _ := wrapWith(inner, WithMaxConcurrent(1))
 				// Hold the only slot for the duration of the case; the
 				// entered signal fires from inside the limiter, so once it
 				// arrives the next request must shed.
@@ -148,7 +148,7 @@ func v1GoldenCases() []v1GoldenCase {
 			wantStatus: 500,
 			handler: func(t *testing.T) http.Handler {
 				inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { panic("golden") })
-				h, _ := WrapMiddleware(inner)
+				h, _ := wrapWith(inner)
 				return h
 			},
 		},
