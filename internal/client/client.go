@@ -54,12 +54,14 @@ type Client struct {
 	maxRetries int
 	backoff    time.Duration
 	hedgeDelay time.Duration
-	userAgent  string
 	// jitter returns a random duration in [0, span], the spread added to
 	// retry backoff so a fleet of clients released by the same outage
 	// does not retry in lockstep. Replaceable in tests for determinism.
 	jitter func(span time.Duration) time.Duration
 }
+
+// userAgent is the User-Agent header of every request.
+const userAgent = "wikimatch-client/" + protocol.Version
 
 // Option adjusts a Client.
 type Option func(*Client)
@@ -88,9 +90,6 @@ func WithHedge(delay time.Duration) Option {
 	return func(c *Client) { c.hedgeDelay = delay }
 }
 
-// WithUserAgent sets the User-Agent header.
-func WithUserAgent(ua string) Option { return func(c *Client) { c.userAgent = ua } }
-
 // New creates a client for a wikimatchd base URL ("http://host:8080").
 func New(base string, opts ...Option) (*Client, error) {
 	u, err := url.Parse(base)
@@ -102,7 +101,6 @@ func New(base string, opts ...Option) (*Client, error) {
 		httpClient: http.DefaultClient,
 		maxRetries: 2,
 		backoff:    250 * time.Millisecond,
-		userAgent:  "wikimatch-client/" + protocol.Version,
 		jitter: func(span time.Duration) time.Duration {
 			if span <= 0 {
 				return 0
@@ -377,7 +375,7 @@ func (c *Client) do(ctx context.Context, method, path string, in any) (*http.Res
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("User-Agent", c.userAgent)
+	req.Header.Set("User-Agent", userAgent)
 	// Propagate a context-carried request ID (stamped by the service
 	// middleware) so a router→shard hop appears under the user's ID in
 	// the shard's access log. Invalid IDs are dropped, not sanitized:

@@ -31,16 +31,7 @@ func (l Local) MatchAll(ctx context.Context, req protocol.MatchRequest) (*protoc
 
 // Stream implements Backend.
 func (l Local) Stream(ctx context.Context, req protocol.MatchRequest) (*Stream, error) {
-	lines, err := l.S.ServeStream(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{
-		next: func() (protocol.StreamLine, bool, error) {
-			line, ok := <-lines
-			return line, ok, nil
-		},
-	}, nil
+	return linesStream(l.S.ServeStream(ctx, req))
 }
 
 // Audit implements Backend.
@@ -50,7 +41,11 @@ func (l Local) Audit(ctx context.Context, req protocol.AuditRequest) (*protocol.
 
 // AuditStream implements Backend.
 func (l Local) AuditStream(ctx context.Context, req protocol.AuditRequest) (*Stream, error) {
-	lines, err := l.S.ServeAuditStream(ctx, req)
+	return linesStream(l.S.ServeAuditStream(ctx, req))
+}
+
+// linesStream iterates a session's line channel as a Stream.
+func linesStream(lines <-chan protocol.StreamLine, err error) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -133,11 +133,11 @@ func Stream(ctx context.Context, m PairMatcher, langs []wiki.Language, opts Opti
 }
 
 // StreamPlan is Stream over an already-resolved plan: the scheduler
-// without the planning step. The fleet router uses it directly — it
-// resolves the plan itself to partition pairs by shard ownership, then
-// runs the same bounded worker pool and cluster merge a single binary
-// does, so routed batches cannot drift from local ones. workers ≤ 0
-// means GOMAXPROCS.
+// without the planning step. The /v1 batch routes (service.BatchRoutes)
+// call it directly, so a session and the fleet router run the same
+// bounded worker pool and cluster merge with their own worker defaults.
+// workers ≤ 0 means GOMAXPROCS; more workers than pairs run one per
+// pair.
 func StreamPlan(ctx context.Context, m PairMatcher, plan Plan, workers int) <-chan Update {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -5,14 +5,11 @@ import (
 	"errors"
 	"log"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
-	"repro/internal/multi"
 	"repro/internal/protocol"
 	"repro/internal/service"
 	"repro/internal/wiki"
@@ -34,6 +31,11 @@ const probeTimeout = 2 * time.Second
 // service.NewHandler a single binary runs. Build it with New, mount
 // Handler, and Close it on shutdown to stop the health poller.
 type Router struct {
+	// BatchRoutes serves /v1/matchall, the all-pairs /v1/stream and
+	// both audits: the single binary's code over the fleet's
+	// BatchSource (fleetBatch).
+	service.BatchRoutes
+
 	shards []shard
 
 	clientOpts     []client.Option
@@ -43,9 +45,9 @@ type Router struct {
 
 	started time.Time
 
-	// langMu guards the cached fleet language set, discovered from a
-	// shard's corpus stats and dropped whenever a delta lands (the
-	// corpus may have grown a language).
+	// langMu guards the cached fleet language set (fleetBatch.Languages),
+	// dropped whenever a delta lands (the corpus may have grown a
+	// language).
 	langMu sync.Mutex
 	langs  []wiki.Language
 
@@ -100,6 +102,7 @@ func New(addrs []string, opts ...Option) (*Router, error) {
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),
 	}
+	rt.BatchRoutes = service.NewBatchRoutes(fleetBatch{rt})
 	for _, opt := range opts {
 		opt(rt)
 	}
@@ -164,13 +167,18 @@ func fanOut[T any](rt *Router, f func(*shard) T) []T {
 
 // shardErr classifies a per-shard call failure: a structured protocol
 // error from the shard passes through untouched (the shard's envelope
-// is already canonical), anything else — connection refused, timeouts,
+// is already canonical), a call cut short by the request's own deadline
+// or cancellation answers as a single binary would (deadline_exceeded
+// or canceled), and anything else — connection refused, timeouts,
 // malformed bodies — becomes a retryable unavailable envelope naming
 // the shard, so callers see where the fleet is broken.
-func (rt *Router) shardErr(sh *shard, err error) *protocol.Error {
+func (rt *Router) shardErr(ctx context.Context, sh *shard, err error) *protocol.Error {
 	var pe *protocol.Error
 	if errors.As(err, &pe) {
 		return pe
+	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return protocol.FromErr(ctxErr)
 	}
 	if rt.logger != nil {
 		rt.logger.Printf("shard %d (%s): %v", sh.index, sh.addr, err)
@@ -193,30 +201,13 @@ func (rt *Router) ServeMatch(ctx context.Context, req protocol.MatchRequest) (*p
 	sh := rt.owner(r.Pair)
 	resp, err := sh.c.Match(ctx, req)
 	if err != nil {
-		return nil, rt.shardErr(sh, err)
+		return nil, rt.shardErr(ctx, sh, err)
 	}
 	return resp, nil
 }
 
-// ServeMatchAll scatter-gathers an all-pairs batch across the fleet.
-func (rt *Router) ServeMatchAll(ctx context.Context, req protocol.MatchRequest) (*protocol.MatchAllResponse, error) {
-	req.All = true
-	r, err := req.Validate()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	final, fm, err := rt.scatterGather(ctx, req, r.Multi)
-	if err != nil {
-		return nil, err
-	}
-	resp := service.MatchAllDTO(final, msSince(start), fm.cacheTotals())
-	return &resp, nil
-}
-
-// ServeStream streams an all-pairs batch scatter-gathered with live
-// progress, through the same relay as a single binary's, or relays the
-// owning shard's stream of a pair-scoped request verbatim.
+// ServeStream hands an all-pairs request to the batch routes, or relays
+// the owning shard's stream of a pair-scoped request verbatim.
 func (rt *Router) ServeStream(ctx context.Context, req protocol.MatchRequest) (<-chan protocol.StreamLine, error) {
 	r, err := req.Validate()
 	if err != nil {
@@ -227,16 +218,12 @@ func (rt *Router) ServeStream(ctx context.Context, req protocol.MatchRequest) (<
 			"single-type requests cannot stream; use /v1/match")
 	}
 	if r.All {
-		updates, fm, err := rt.matchPhase(ctx, req, r.Multi)
-		if err != nil {
-			return nil, err
-		}
-		return service.RelayAllStream(updates, fm.cacheTotals), nil
+		return rt.StreamAll(ctx, r)
 	}
 	sh := rt.owner(r.Pair)
 	st, err := sh.c.Stream(ctx, req)
 	if err != nil {
-		return nil, rt.shardErr(sh, err)
+		return nil, rt.shardErr(ctx, sh, err)
 	}
 	lines := make(chan protocol.StreamLine, 16) // decouples the shard read from the client write
 	go func() {
@@ -251,144 +238,12 @@ func (rt *Router) ServeStream(ctx context.Context, req protocol.MatchRequest) (<
 		}
 		if err := st.Err(); err != nil {
 			select {
-			case lines <- protocol.StreamLine{Error: rt.shardErr(sh, err)}:
+			case lines <- protocol.StreamLine{Error: rt.shardErr(ctx, sh, err)}:
 			case <-ctx.Done():
 			}
 		}
 	}()
 	return lines, nil
-}
-
-// matchPhase starts one all-pairs matching phase across the fleet: the
-// plan is resolved router-side from the fleet's language set, and every
-// planned pair is routed to its owning shard. It is the one matching
-// phase behind /v1/matchall, the all-pairs stream and both audits.
-// Per-pair shard failures land in their outcomes without aborting the
-// batch, exactly like a local failure. An explicit workers request is
-// honored; the default is full fan-out (one worker per planned pair),
-// because router-side pair work is network-bound waiting, not CPU — the
-// shards bound their own compute.
-func (rt *Router) matchPhase(ctx context.Context, req protocol.MatchRequest, opts multi.Options) (<-chan multi.Update, *fleetMatcher, error) {
-	langs, err := rt.fleetLanguages(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := multi.NewPlan(langs, opts.Mode, opts.Hub)
-	if err != nil {
-		return nil, nil, protocol.FromErr(err)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = len(plan.Pairs)
-	}
-	fm := rt.fleetMatcher(req)
-	return multi.StreamPlan(ctx, fm, plan, workers), fm, nil
-}
-
-// scatterGather runs matchPhase to completion and returns the merged
-// batch, reconstructed through the same cluster builder a single binary
-// runs.
-func (rt *Router) scatterGather(ctx context.Context, req protocol.MatchRequest, opts multi.Options) (*multi.BatchResult, *fleetMatcher, error) {
-	updates, fm, err := rt.matchPhase(ctx, req, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	var final *multi.BatchResult
-	for u := range updates {
-		if u.Final != nil {
-			final = u.Final
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, protocol.FromErr(err)
-	}
-	if final == nil {
-		return nil, nil, protocol.Errorf(protocol.CodeUnavailable, "matching phase produced no result")
-	}
-	return final, fm, nil
-}
-
-// fleetMatcher adapts the fleet to multi.PairMatcher: each pair is one
-// /v1/match against its owning shard, reconstructed into the core
-// result the cluster builder consumes. It also collects each shard's
-// latest cache-stats snapshot, so the merged response can report fleet
-// cache totals without extra round trips.
-type fleetMatcher struct {
-	rt   *Router
-	base protocol.MatchRequest
-
-	mu    sync.Mutex
-	cache map[int]protocol.CacheStats
-}
-
-func (rt *Router) fleetMatcher(req protocol.MatchRequest) *fleetMatcher {
-	// Only the threshold overrides survive into the per-pair requests;
-	// batch fields (all/mode/hub/workers) stay router-side.
-	return &fleetMatcher{
-		rt:    rt,
-		base:  protocol.MatchRequest{TSim: req.TSim, TLSI: req.TLSI, TEg: req.TEg},
-		cache: make(map[int]protocol.CacheStats),
-	}
-}
-
-// Match implements multi.PairMatcher over the fleet.
-func (f *fleetMatcher) Match(ctx context.Context, pair wiki.LanguagePair) (*core.Result, error) {
-	req := f.base
-	req.Pair = pair.String()
-	sh := f.rt.owner(pair)
-	resp, err := sh.c.Match(ctx, req)
-	if err != nil {
-		return nil, f.rt.shardErr(sh, err)
-	}
-	f.mu.Lock()
-	f.cache[sh.index] = resp.Cache
-	f.mu.Unlock()
-	return resp.Result()
-}
-
-// cacheTotals sums the latest cache snapshot seen from each shard
-// during the batch — the fleet-wide equivalent of a session's
-// CacheStats.
-func (f *fleetMatcher) cacheTotals() protocol.CacheStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out protocol.CacheStats
-	for _, cs := range f.cache {
-		out.Add(cs)
-	}
-	return out
-}
-
-// fleetLanguages discovers (and caches) the corpus language set from
-// the first shard that answers its stats. Every shard serves the full
-// corpus — only artifacts are sharded — so any answer is
-// authoritative. The cache is dropped when a delta lands.
-func (rt *Router) fleetLanguages(ctx context.Context) ([]wiki.Language, error) {
-	rt.langMu.Lock()
-	cached := rt.langs
-	rt.langMu.Unlock()
-	if cached != nil {
-		return cached, nil
-	}
-	var lastErr error
-	for i := range rt.shards {
-		sh := &rt.shards[i]
-		stats, err := sh.c.Stats(ctx)
-		if err != nil {
-			lastErr = rt.shardErr(sh, err)
-			continue
-		}
-		langs := make([]wiki.Language, 0, len(stats.Corpus.Articles))
-		for lang := range stats.Corpus.Articles {
-			langs = append(langs, lang)
-		}
-		sort.Slice(langs, func(i, j int) bool { return langs[i] < langs[j] })
-		rt.langMu.Lock()
-		rt.langs = langs
-		rt.langMu.Unlock()
-		return langs, nil
-	}
-	return nil, lastErr
 }
 
 // invalidateLanguages drops the cached language set after a corpus
@@ -410,7 +265,7 @@ func (rt *Router) ServeCorpus(ctx context.Context) (*protocol.StatsResponse, err
 	answers := fanOut(rt, func(sh *shard) answer {
 		stats, err := sh.c.Stats(ctx)
 		if err != nil {
-			return answer{err: rt.shardErr(sh, err)}
+			return answer{err: rt.shardErr(ctx, sh, err)}
 		}
 		return answer{stats: stats}
 	})
@@ -448,7 +303,7 @@ func (rt *Router) DeltaBody(ctx context.Context, req protocol.DeltaRequest) (any
 		sd := protocol.ShardDelta{Shard: sh.index, Addr: sh.addr}
 		resp, err := sh.c.Delta(ctx, req)
 		if err != nil {
-			sd.Error = rt.shardErr(sh, err)
+			sd.Error = rt.shardErr(ctx, sh, err)
 		} else {
 			sd.Response = resp
 		}
@@ -502,7 +357,7 @@ func (rt *Router) ServeInvalidate(ctx context.Context, req protocol.InvalidateRe
 	answers := fanOut(rt, func(sh *shard) answer {
 		resp, err := sh.c.Invalidate(ctx, req.Lang)
 		if err != nil {
-			return answer{err: rt.shardErr(sh, err)}
+			return answer{err: rt.shardErr(ctx, sh, err)}
 		}
 		return answer{resp: resp}
 	})
@@ -535,7 +390,7 @@ func (rt *Router) MetricsBody(ctx context.Context, stack protocol.Metrics) (any,
 		sm := protocol.ShardMetrics{Shard: sh.index, Addr: sh.addr}
 		m, err := sh.c.Metrics(ctx)
 		if err != nil {
-			sm.Error = rt.shardErr(sh, err).Error()
+			sm.Error = rt.shardErr(ctx, sh, err).Error()
 		} else {
 			sm.Metrics = m
 		}

@@ -711,25 +711,69 @@ func TestAuditByteIdentical(t *testing.T) {
 }
 
 func testAuditByteIdentical(t *testing.T, f *fleet) {
+	// A body carrying pre-merged clusters skips the matching phase: the
+	// router hands it straight to one shard's value comparison.
+	status, raw := post(t, f.single.URL+"/v1/matchall", `{"all":true}`)
+	if status != http.StatusOK {
+		t.Fatalf("single-binary matchall: %d %s", status, raw)
+	}
+	var all protocol.MatchAllResponse
+	if err := json.Unmarshal(raw, &all); err != nil {
+		t.Fatal(err)
+	}
+	clusters, err := json.Marshal(protocol.AuditRequest{Clusters: all.Clusters, MinSeverity: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterBody := string(clusters)
+
 	for _, body := range []string{
 		`{}`,
 		`{"mode":"direct"}`,
 		`{"minSeverity":0.5,"limit":5}`,
 		`{"pair":"pt-en"}`,
+		clusterBody,
 	} {
 		gotStatus, got := post(t, f.rtSrv.URL+"/v1/audit", body)
 		wantStatus, want := post(t, f.single.URL+"/v1/audit", body)
 		if gotStatus != http.StatusOK || wantStatus != http.StatusOK {
-			t.Fatalf("%s: router %d, single %d (%s / %s)", body, gotStatus, wantStatus, got, want)
+			t.Fatalf("%.80s: router %d, single %d (%s / %s)", body, gotStatus, wantStatus, got, want)
 		}
 		gotN, wantN := normalizeAudit(t, got), normalizeAudit(t, want)
 		if !bytes.Equal(gotN, wantN) {
-			t.Errorf("%s: routed audit differs from single binary\nrouter: %s\nsingle: %s", body, gotN, wantN)
+			t.Errorf("%.80s: routed audit differs from single binary\nrouter: %s\nsingle: %s", body, gotN, wantN)
 		}
 	}
 
+	// The cluster-bearing stream's final line equals the single binary's
+	// unary answer, and every finding is streamed.
+	_, want := post(t, f.single.URL+"/v1/audit", clusterBody)
+	var final *protocol.AuditResponse
+	findingLines := 0
+	for _, line := range streamLines(t, f.rtSrv.URL+"/v1/audit/stream", clusterBody) {
+		if line.Pair != nil {
+			t.Fatal("cluster-bearing audit stream ran a matching phase")
+		}
+		if line.Finding != nil {
+			findingLines++
+		}
+		if line.FinalAudit != nil {
+			final = line.FinalAudit
+		}
+	}
+	if final == nil || len(final.Findings) == 0 || findingLines != len(final.Findings) {
+		t.Fatalf("cluster-bearing audit stream: final %v, %d finding lines", final != nil, findingLines)
+	}
+	finalRaw, err := json.Marshal(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotN, wantN := normalizeAudit(t, finalRaw), normalizeAudit(t, want); !bytes.Equal(gotN, wantN) {
+		t.Errorf("cluster-bearing stream final differs from single binary\nrouter: %s\nsingle: %s", gotN, wantN)
+	}
+
 	// The report is non-hollow and ranked.
-	_, raw := post(t, f.rtSrv.URL+"/v1/audit", `{}`)
+	_, raw = post(t, f.rtSrv.URL+"/v1/audit", `{}`)
 	var resp protocol.AuditResponse
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		t.Fatal(err)
@@ -744,7 +788,7 @@ func testAuditByteIdentical(t *testing.T, f *fleet) {
 	}
 
 	// Canonical validation errors come from the router itself.
-	status, raw := post(t, f.rtSrv.URL+"/v1/audit", `{"mode":"nope"}`)
+	status, raw = post(t, f.rtSrv.URL+"/v1/audit", `{"mode":"nope"}`)
 	if status != http.StatusBadRequest {
 		t.Fatalf("bad mode via router: %d %s", status, raw)
 	}

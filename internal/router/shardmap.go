@@ -3,15 +3,16 @@
 // A deterministic shard map assigns every canonical language pair (and
 // with it the pair's type artifacts) to exactly one shard; unary pair
 // requests are routed to their owner, all-pairs batches are
-// scatter-gathered across the fleet and merged through the same cluster
-// builder a single binary runs, and corpus deltas fan out to every
+// scatter-gathered across the fleet, and corpus deltas fan out to every
 // shard. Replicas started with the matching -shard-index/-shard-count
 // filter warm-load only the slice of the snapshot the map assigns them.
 //
-// The router has no HTTP layer of its own. *Router is a
-// service.Backend whose Serve methods return the same DTOs and line
-// channels a session's do, and Handler serves it through
-// service.NewHandler, the handler a single binary runs.
+// The router has no HTTP layer and no batch code of its own. *Router
+// is a service.Backend served by service.NewHandler, the handler a
+// single binary runs, and its batch routes (matchall, the all-pairs
+// stream and both audits) are the embedded service.BatchRoutes, the
+// single binary's own code. The fleet supplies only the language set,
+// the pair matcher and the audit of pre-merged clusters (fleetBatch).
 package router
 
 import (

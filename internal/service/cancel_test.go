@@ -3,11 +3,14 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/multi"
+	"repro/internal/protocol"
 	"repro/internal/synth"
 	"repro/internal/wiki"
 )
@@ -149,4 +152,60 @@ func TestMatchStreamCancel(t *testing.T) {
 	if total >= 0 && delivered >= total {
 		t.Errorf("cancelled, unconsumed stream still delivered all %d types", total)
 	}
+}
+
+// TestAbandonedAuditStreamSettles: a consumer that reads the first line
+// of a cluster-bearing audit stream, cancels and stops reading leaves no
+// goroutine behind; the producer must not block on a line nobody will
+// receive.
+func TestAbandonedAuditStreamSettles(t *testing.T) {
+	s := New(smallCorpus(t))
+	batch, err := s.MatchAll(context.Background(), multi.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := protocol.AuditRequest{Clusters: batch.Clusters}
+	full, err := s.ServeAudit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// More findings than the stream buffers, so an unguarded send blocks.
+	if len(full.Findings) < 8 {
+		t.Fatalf("audit has %d findings; the check needs more than the stream's buffer", len(full.Findings))
+	}
+
+	base := settledGoroutines()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lines, err := s.ServeAuditStream(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line := <-lines; line.Finding == nil {
+		t.Fatalf("first line %+v, want a finding", line)
+	}
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// settledGoroutines waits for the goroutine count to hold still over
+// three samples and returns it.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for same < 3 {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }

@@ -10,13 +10,13 @@ import (
 	"repro/internal/wiki"
 )
 
-// The typed execution path of protocol v1. ServeMatch, ServeMatchAll
-// and ServeStream are the one implementation behind the HTTP handlers,
-// the Go client's in-process backend and the CLI: every entrypoint
-// builds a protocol.MatchRequest and funnels it through here, so
-// validation, threshold overrides and response assembly cannot drift
-// between surfaces. With the audit and control-plane methods below they
-// make *Session the single binary's Backend.
+// The typed execution path of protocol v1. ServeMatch and ServeStream
+// are the one implementation behind the HTTP handlers, the Go client's
+// in-process backend and the CLI: every entrypoint builds a
+// protocol.MatchRequest and funnels it through here, so validation,
+// threshold overrides and response assembly cannot drift between
+// surfaces. With the batch routes (batch.go) and the control-plane
+// methods below they make *Session the single binary's Backend.
 
 // ServeMatch answers a pair or single-type MatchRequest. All-pairs
 // requests are rejected — they belong to ServeMatchAll.
@@ -63,23 +63,6 @@ func (s *Session) ServeMatch(ctx context.Context, req protocol.MatchRequest) (*p
 	return resp, nil
 }
 
-// ServeMatchAll answers an all-pairs MatchRequest. Pair-scoped requests
-// are rejected — they belong to ServeMatch.
-func (s *Session) ServeMatchAll(ctx context.Context, req protocol.MatchRequest) (*protocol.MatchAllResponse, error) {
-	req.All = true
-	r, err := req.Validate()
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := multi.Run(ctx, s.pairMatcherFor(r.Overrides), s.Corpus().Languages(), r.Multi)
-	if err != nil {
-		return nil, protocol.FromErr(err)
-	}
-	resp := MatchAllDTO(res, msSince(start), s.CacheStats())
-	return &resp, nil
-}
-
 // ServeStream runs a MatchRequest with streamed progress: pair-scoped
 // requests emit one Type line per finished entity type and close with a
 // FinalMatch line; all-pairs requests emit one Pair line per finished
@@ -96,11 +79,7 @@ func (s *Session) ServeStream(ctx context.Context, req protocol.MatchRequest) (<
 		return nil, protocol.Errorf(protocol.CodeInvalidArgument, "single-type requests cannot stream; use /v1/match")
 	}
 	if r.All {
-		updates, err := multi.Stream(ctx, s.pairMatcherFor(r.Overrides), s.Corpus().Languages(), r.Multi)
-		if err != nil {
-			return nil, protocol.FromErr(err)
-		}
-		return RelayAllStream(updates, s.CacheStats), nil
+		return s.StreamAll(ctx, r)
 	}
 	start := time.Now()
 	updates, err := s.streamWith(ctx, r.Pair, s.matcherFor(r.Overrides))
@@ -149,34 +128,6 @@ func (s *Session) relayPairStream(r protocol.Resolved, start time.Time, updates 
 			final.Results = append(final.Results, byType[tp[0]])
 		}
 		out <- protocol.StreamLine{Done: done, Total: total, FinalMatch: final}
-	}()
-	return out
-}
-
-// RelayAllStream translates multi's Update stream into protocol lines:
-// one Pair line per finished language pair, then a FinalAll line built
-// by MatchAllDTO. cache supplies the cache-stats snapshot stamped into
-// the final response at assembly time. The output channel is buffered
-// for the whole stream, like the input. A fleet's scatter-gathered
-// all-pairs stream rides the same relay, so its lines match a single
-// binary's.
-func RelayAllStream(updates <-chan multi.Update, cache func() protocol.CacheStats) <-chan protocol.StreamLine {
-	out := make(chan protocol.StreamLine, cap(updates)+1)
-	go func() {
-		defer close(out)
-		start := time.Now()
-		for u := range updates {
-			line := protocol.StreamLine{Done: u.Done, Total: u.Total}
-			if u.Outcome != nil {
-				p := PairOutcomeDTO(u.Outcome)
-				line.Pair = &p
-			}
-			if u.Final != nil {
-				final := MatchAllDTO(u.Final, msSince(start), cache())
-				line.FinalAll = &final
-			}
-			out <- line
-		}
 	}()
 	return out
 }
@@ -259,50 +210,6 @@ type overridePairMatcher struct {
 func (p overridePairMatcher) Match(ctx context.Context, pair wiki.LanguagePair) (*core.Result, error) {
 	res, _, err := p.s.matchWith(ctx, pair, p.m)
 	return res, err
-}
-
-// MatchAllDTO flattens a batch result for the wire. It is the one
-// assembly path for MatchAllResponse bodies — the session's ServeMatchAll
-// and the fleet router's scatter-gather both call it, so a routed batch
-// serializes byte-identically to a single binary's.
-func MatchAllDTO(res *multi.BatchResult, elapsedMS float64, cache protocol.CacheStats) protocol.MatchAllResponse {
-	resp := protocol.MatchAllResponse{
-		Mode:      res.Plan.Mode.String(),
-		Hub:       res.Plan.Hub.String(),
-		Planned:   []string{},
-		Clusters:  res.Clusters,
-		ElapsedMS: elapsedMS,
-		Cache:     cache,
-	}
-	if resp.Clusters == nil {
-		resp.Clusters = []multi.Cluster{}
-	}
-	for _, pair := range res.Plan.Pairs {
-		resp.Planned = append(resp.Planned, pair.String())
-	}
-	for i := range res.Outcomes {
-		resp.Pairs = append(resp.Pairs, PairOutcomeDTO(&res.Outcomes[i]))
-	}
-	for _, cl := range res.Clusters {
-		resp.Conflicts += len(cl.Conflicts)
-	}
-	return resp
-}
-
-// PairOutcomeDTO flattens one batch pair outcome for the wire.
-func PairOutcomeDTO(o *multi.PairOutcome) protocol.MatchAllPair {
-	out := protocol.MatchAllPair{
-		Pair:            o.Pair.String(),
-		Correspondences: o.Correspondences(),
-		ElapsedMS:       float64(o.Elapsed) / float64(time.Millisecond),
-	}
-	if o.Result != nil {
-		out.Types = len(o.Result.Types)
-	}
-	if o.Err != nil {
-		out.Error = o.Err.Error()
-	}
-	return out
 }
 
 // counterpartType resolves the aligned counterpart of a single-type

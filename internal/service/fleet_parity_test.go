@@ -19,7 +19,6 @@ import (
 // from a single binary, and why.
 var fleetDiffers = map[string]string{
 	"v1_error_delta_remove_missing": "a fleet answers a delta with per-shard outcomes in a 200 FleetDeltaResponse",
-	"v1_error_deadline":             "the router reports a shard call cut short by its own deadline as 503 unavailable",
 }
 
 // TestFleetErrorParity replays the v1 golden error rows (bad pair,

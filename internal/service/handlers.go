@@ -24,7 +24,9 @@ import (
 // share one route table, method guard, body decoder, shard gate and
 // middleware stack. The handler decodes each body and passes it on
 // unvalidated; validation belongs to the backend, which returns
-// protocol errors (or errors protocol.FromErr classifies).
+// protocol errors (or errors protocol.FromErr classifies). Both embed
+// BatchRoutes for ServeMatchAll, ServeAudit and ServeAuditStream and
+// hand all-pairs streams to its StreamAll.
 //
 // The control-plane bodies differ between the two: a fleet answers a
 // delta, a health probe and a metrics scrape with FleetDeltaResponse,

@@ -111,6 +111,7 @@ func RestoreFiltered(c *wiki.Corpus, r io.Reader, keep func(wiki.LanguagePair) b
 		eng:          artifact.NewEngine(),
 		snapshotTime: snap.CreatedAt,
 	}
+	s.BatchRoutes = NewBatchRoutes(sessionBatch{s})
 	s.state.Store(&sessionState{corpus: c})
 	for _, p := range snap.Pairs {
 		pd := &pairData{types: p.Types, dict: p.Dict}

@@ -24,7 +24,10 @@
 // NewHandler (handlers.go) is the one /v1 HTTP layer: route table,
 // method guard, body decoding, shard gate and middleware stack. It
 // serves any Backend; *Session is the single binary's, and the fleet
-// router (internal/router) is the other.
+// router (internal/router) is the other. BatchRoutes (batch.go) is the
+// one implementation of the batch routes — matchall, the all-pairs
+// stream and both audits — for both: a backend supplies only the
+// language set, the pair matcher and the audit of pre-merged clusters.
 package service
 
 import (
@@ -43,6 +46,10 @@ import (
 // Session is a long-lived matching service over one corpus. Create it
 // with New; the zero value is not usable.
 type Session struct {
+	// BatchRoutes serves /v1/matchall, the all-pairs /v1/stream and
+	// both audits over the session's corpus and cache (sessionBatch).
+	BatchRoutes
+
 	cfg core.Config
 	m   *core.Matcher
 	eng *artifact.Engine
@@ -94,6 +101,7 @@ func New(c *wiki.Corpus, opts ...Option) *Session {
 		m:   core.NewMatcher(cfg),
 		eng: artifact.NewEngine(),
 	}
+	s.BatchRoutes = NewBatchRoutes(sessionBatch{s})
 	s.state.Store(&sessionState{corpus: c})
 	return s
 }
