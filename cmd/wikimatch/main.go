@@ -79,6 +79,7 @@ import (
 	"repro"
 	"repro/internal/eval"
 	"repro/internal/ingest"
+	"repro/internal/protocol"
 	"repro/internal/synth"
 	"repro/internal/wiki"
 )
@@ -420,13 +421,13 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// The local corpus is loaded with -remote too: the gold evaluation
+	// scores the batch against it.
 	corpus, truth, err := loadCorpus(stdout, *dumpsDir, *scale)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "corpus languages: %v\n", corpus.Languages())
-
 	var session *repro.Session
 	var backend repro.Backend
 	if *remote == "" {
@@ -436,10 +437,15 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	ctx := context.Background()
+	if err := printLanguages(ctx, stdout, backend); err != nil {
+		fmt.Fprintln(stderr, "matchall:", err)
+		return 1
+	}
 
 	req := repro.MatchRequest{All: true, Mode: *modeFlag, Hub: *hubFlag, Workers: *workers}
 	setMatchOverrides(fs, &req, tsim, tlsi)
-	lines, err := backend.Stream(context.Background(), req)
+	lines, err := backend.Stream(ctx, req)
 	if err != nil {
 		fmt.Fprintln(stderr, "matchall:", err)
 		return 1
@@ -448,20 +454,7 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 	var batch *repro.MatchAllResponse
 	for lines.Next() {
 		line := lines.Line()
-		if o := line.Pair; o != nil {
-			if o.Error != "" {
-				fmt.Fprintf(stdout, "[%d/%d] %-8s FAILED: %v\n", line.Done, line.Total, o.Pair, o.Error)
-				continue
-			}
-			if *timings {
-				fmt.Fprintf(stdout, "[%d/%d] %-8s %3d types %5d correspondences  %v\n",
-					line.Done, line.Total, o.Pair, o.Types, o.Correspondences,
-					(time.Duration(o.ElapsedMS * float64(time.Millisecond))).Round(time.Millisecond))
-			} else {
-				fmt.Fprintf(stdout, "[%d/%d] %-8s %3d types %5d correspondences\n",
-					line.Done, line.Total, o.Pair, o.Types, o.Correspondences)
-			}
-		}
+		printProgress(stdout, line, *timings)
 		if line.FinalAll != nil {
 			batch = line.FinalAll
 		}
@@ -519,23 +512,33 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	corpus, _, err := loadCorpus(stdout, *dumpsDir, *scale)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
+	// With -remote the daemon's corpus is audited; none is loaded here.
+	var backend repro.Backend
+	if *remote == "" {
+		corpus, _, err := loadCorpus(stdout, *dumpsDir, *scale)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		backend = repro.NewLocalBackend(repro.NewSession(corpus))
+	} else {
+		var err error
+		if backend, err = repro.NewAPIClient(*remote); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+	}
+	ctx := context.Background()
+	if err := printLanguages(ctx, stdout, backend); err != nil {
+		fmt.Fprintln(stderr, "audit:", err)
 		return 1
 	}
-	backend, err := newBackend(*remote, corpus)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "corpus languages: %v\n", corpus.Languages())
 
 	req := repro.AuditRequest{
 		Mode: *modeFlag, Hub: *hubFlag, Workers: *workers,
 		Pair: *pairFlag, MinSeverity: *minSeverity, Limit: *limit,
 	}
-	lines, err := backend.AuditStream(context.Background(), req)
+	lines, err := backend.AuditStream(ctx, req)
 	if err != nil {
 		fmt.Fprintln(stderr, "audit:", err)
 		return 1
@@ -549,20 +552,7 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "audit:", line.Error)
 			return 1
 		}
-		if o := line.Pair; o != nil {
-			if o.Error != "" {
-				fmt.Fprintf(stdout, "[%d/%d] %-8s FAILED: %v\n", line.Done, line.Total, o.Pair, o.Error)
-				continue
-			}
-			if *timings {
-				fmt.Fprintf(stdout, "[%d/%d] %-8s %3d types %5d correspondences  %v\n",
-					line.Done, line.Total, o.Pair, o.Types, o.Correspondences,
-					(time.Duration(o.ElapsedMS * float64(time.Millisecond))).Round(time.Millisecond))
-			} else {
-				fmt.Fprintf(stdout, "[%d/%d] %-8s %3d types %5d correspondences\n",
-					line.Done, line.Total, o.Pair, o.Types, o.Correspondences)
-			}
-		}
+		printProgress(stdout, line, *timings)
 		if f := line.Finding; f != nil {
 			if !headed {
 				fmt.Fprintf(stdout, "\nranked findings:\n")
@@ -589,6 +579,36 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout)
 	return 0
+}
+
+// printLanguages prints the language set of the corpus the backend
+// serves: the daemon's with -remote, the local session's otherwise.
+func printLanguages(ctx context.Context, w io.Writer, backend repro.Backend) error {
+	stats, err := backend.Stats(ctx)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "corpus languages: %v\n", stats.Corpus.Languages)
+	return nil
+}
+
+// printProgress prints a batch stream's per-pair progress line: the
+// finished pair's type and correspondence counts, with its time when
+// timings is set, or its failure. Other lines print nothing.
+func printProgress(w io.Writer, line protocol.StreamLine, timings bool) {
+	o := line.Pair
+	switch {
+	case o == nil:
+	case o.Error != "":
+		fmt.Fprintf(w, "[%d/%d] %-8s FAILED: %v\n", line.Done, line.Total, o.Pair, o.Error)
+	case timings:
+		fmt.Fprintf(w, "[%d/%d] %-8s %3d types %5d correspondences  %v\n",
+			line.Done, line.Total, o.Pair, o.Types, o.Correspondences,
+			(time.Duration(o.ElapsedMS * float64(time.Millisecond))).Round(time.Millisecond))
+	default:
+		fmt.Fprintf(w, "[%d/%d] %-8s %3d types %5d correspondences\n",
+			line.Done, line.Total, o.Pair, o.Types, o.Correspondences)
+	}
 }
 
 // printFinding renders one ranked inconsistency with its per-edition

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/wiki"
 )
 
 // startDaemon serves the same small synthetic corpus the CLI generates,
@@ -166,5 +167,36 @@ func TestStreamTypeRejected(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "cannot be combined") {
 		t.Errorf("stderr: %s", errBuf.String())
+	}
+}
+
+// TestRemoteLanguagesFromDaemon: with -remote, matchall and audit name
+// the languages of the corpus the daemon serves, not of the corpus the
+// CLI would generate locally.
+func TestRemoteLanguagesFromDaemon(t *testing.T) {
+	cfg := repro.DefaultEditionsCorpus()
+	cfg.Languages = []wiki.Language{"de", "en", "fr"}
+	cfg.EntitiesPerType = 20
+	corpus, _, err := repro.GenerateEditions(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(repro.NewHTTPHandler(repro.NewSession(corpus)))
+	t.Cleanup(srv.Close)
+
+	want := "corpus languages: [de en fr]\n"
+	for name, cmd := range map[string]func([]string, io.Writer, io.Writer) int{
+		"matchall": matchallCmd,
+		"audit":    auditCmd,
+	} {
+		t.Run(name, func(t *testing.T) {
+			var out, errBuf bytes.Buffer
+			if code := cmd([]string{"-remote", srv.URL, "-timings=false", "-workers", "1"}, &out, &errBuf); code != 0 {
+				t.Fatalf("exited %d\nstderr: %s", code, errBuf.String())
+			}
+			if !strings.HasPrefix(out.String(), want) {
+				t.Errorf("output does not open with %q:\n%s", want, out.String())
+			}
+		})
 	}
 }

@@ -48,13 +48,15 @@
 //	wikimatchd -addr :8081 -store artifacts.wmsnap -shard-index 0 -shard-count 2 &
 //	wikimatchd -addr :8082 -store artifacts.wmsnap -shard-index 1 -shard-count 2 &
 //	wikimatchd -addr :8080 -router -shards localhost:8081,localhost:8082
-//	wikimatch -remote http://localhost:8080 -all
+//	wikimatch matchall -remote http://localhost:8080
 //
 // Protocol v1 endpoints:
 //
 //	POST /v1/match        pair or single-type match (JSON MatchRequest)
 //	POST /v1/matchall     all-pairs batch: correspondence clusters
 //	POST /v1/stream       NDJSON progress stream (pair or all-pairs)
+//	POST /v1/audit        cross-edition value audit: ranked findings
+//	POST /v1/audit/stream NDJSON audit: pair progress, then findings
 //	GET  /v1/corpus       corpus, cache and config snapshot
 //	POST /v1/corpus/delta apply article upserts/removes to the live corpus
 //	POST /v1/invalidate   drop cached artifacts ({"lang":"pt"})
@@ -90,7 +92,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	scale := flag.String("scale", "small", "generated corpus scale: small or full")
-	dumpsDir := flag.String("dumps", "", "directory with <lang>.xml dumps to load instead of generating")
+	dumpsDir := flag.String("dumps", "", "directory with dumps to ingest (DBpedia <lang>-*.ttl[.gz|.bz2], MediaWiki <lang>.xml) instead of generating")
 	storePath := flag.String("store", "", "artifact snapshot file: warm-start from it on boot, flush to it on shutdown")
 	maxConcurrent := flag.Int("max-concurrent", 64, "max concurrently served requests (0 = unlimited); excess gets 429")
 	maxStreams := flag.Int("max-streams", 16, "max concurrently served NDJSON streams (0 = unlimited)")
@@ -145,38 +147,8 @@ func main() {
 		middleware = append(middleware, repro.WithShardGate(shardLabel, keep))
 	}
 
-	handler := repro.NewHTTPHandler(session, middleware...)
-	server := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		// WriteTimeout bounds the whole response, including long matches
-		// and NDJSON streams, so it is generous; the middleware's
-		// per-request timeout and per-line stream write deadlines are the
-		// tighter guards. IdleTimeout reaps idle keep-alive connections.
-		WriteTimeout: 10 * time.Minute,
-		IdleTimeout:  2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = server.Shutdown(shutdownCtx)
-	}()
-
-	log.Printf("wikimatchd listening on %s (protocol %s under /v1/)", *addr, repro.ProtocolVersion)
-	if err := server.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
-	}
-	// ListenAndServe returns as soon as Shutdown begins; wait for the
-	// drain of in-flight requests to actually finish.
-	stop()
-	<-shutdownDone
+	serve(repro.NewHTTPHandler(session, middleware...), *addr,
+		fmt.Sprintf("wikimatchd listening on %s", *addr))
 	if flushOnExit {
 		start := time.Now()
 		if err := repro.SaveSessionSnapshot(session, *storePath); err != nil {
@@ -260,13 +232,27 @@ func runRouter(addr, shardAddrs string, healthInterval, hedge time.Duration, mid
 	}
 	defer rt.Close()
 
+	serve(rt.Handler(), addr,
+		fmt.Sprintf("wikimatchd router listening on %s over %d shards", addr, len(addrs)))
+	log.Print("wikimatchd router stopped")
+}
+
+// serve runs the HTTP server on addr until SIGINT or SIGTERM, then shuts
+// it down gracefully and returns once in-flight requests have drained
+// (for at most 10 seconds).
+func serve(handler http.Handler, addr, banner string) {
 	server := &http.Server{
 		Addr:              addr,
-		Handler:           rt.Handler(),
+		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
-		WriteTimeout:      10 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
+		// WriteTimeout bounds the whole response, including long matches
+		// and NDJSON streams, so it is generous; the middleware's
+		// per-request timeout and per-line stream write deadlines are the
+		// tighter guards. IdleTimeout reaps idle keep-alive connections.
+		WriteTimeout: 10 * time.Minute,
+		IdleTimeout:  2 * time.Minute,
 	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	shutdownDone := make(chan struct{})
@@ -278,14 +264,14 @@ func runRouter(addr, shardAddrs string, healthInterval, hedge time.Duration, mid
 		_ = server.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("wikimatchd router listening on %s over %d shards (protocol %s under /v1/)",
-		addr, len(addrs), repro.ProtocolVersion)
+	log.Printf("%s (protocol %s under /v1/)", banner, repro.ProtocolVersion)
 	if err := server.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+	// ListenAndServe returns as soon as Shutdown begins; wait for the
+	// drain of in-flight requests to actually finish.
 	stop()
 	<-shutdownDone
-	log.Print("wikimatchd router stopped")
 }
 
 // buildCorpus ingests every recognized dump in dir when given (DBpedia

@@ -23,7 +23,7 @@ type corpusMatcher struct {
 }
 
 func (cm corpusMatcher) Match(ctx context.Context, pair wiki.LanguagePair) (*core.Result, error) {
-	return cm.m.MatchCtx(ctx, cm.c, pair, nil)
+	return cm.m.MatchCtx(ctx, cm.c, pair)
 }
 
 // buildClusters runs the full pivot-mode batch match over the corpus and

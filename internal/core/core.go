@@ -245,35 +245,13 @@ type Result struct {
 	TypeList []string // pair.A-side type names, sorted
 }
 
-// TypeArtifacts carries the prebuilt inputs of one type alignment. Any
-// nil field is built from the corpus; a long-lived session injects cached
-// instances so repeated matches skip the expensive construction.
+// TypeArtifacts carries the prebuilt inputs of one type alignment: the
+// similarity workspace and the LSI model BuildTypeArtifacts makes. A
+// long-lived session caches them, so repeated matches skip the expensive
+// construction.
 type TypeArtifacts struct {
 	TD  *sim.TypeData
 	LSI *lsi.Model
-}
-
-// MatchArtifacts carries the pair-level prebuilt inputs of a full Match:
-// the entity-type alignment, the translation dictionary, and a per-type
-// result source. Every field is optional.
-type MatchArtifacts struct {
-	// Types is the entity-type alignment (MatchEntityTypes output); nil
-	// means compute it.
-	Types [][2]string
-	// Dict is the A→B translation dictionary. It is consulted only when
-	// HaveDict is set, so a caller can inject "no dictionary" explicitly.
-	Dict     *dict.Dictionary
-	HaveDict bool
-	// Align, when non-nil, supplies the finished alignment of Types[i]
-	// in place of matching that type here, leaving MatchCtx only the
-	// scheduling — the hook a caching session uses to serve memoized
-	// results. It requires Types and must be safe for concurrent calls
-	// (types are aligned in parallel).
-	Align func(ctx context.Context, i int) (*TypeResult, error)
-	// Aligned, when non-nil, holds alignments already at hand, by Types
-	// index. MatchCtx schedules work only for the nil entries, and none
-	// at all — no worker goroutines — when every entry is set.
-	Aligned []*TypeResult
 }
 
 // Match runs WikiMatch end to end for a language pair: it matches entity
@@ -281,59 +259,31 @@ type MatchArtifacts struct {
 // aligns attributes per type. Types are independent, so they are matched
 // concurrently; the result is identical to a sequential run.
 func (m *Matcher) Match(c *wiki.Corpus, pair wiki.LanguagePair) *Result {
-	res, _ := m.MatchCtx(context.Background(), c, pair, nil)
+	res, _ := m.MatchCtx(context.Background(), c, pair)
 	return res
 }
 
-// MatchCtx is Match with cancellation and artifact injection. It checks
-// ctx between pipeline stages and inside the per-type scoring loops, and
-// returns (nil, ctx.Err()) as soon as the context is done. art may be nil
-// or partially populated; anything missing is built from the corpus.
-func (m *Matcher) MatchCtx(ctx context.Context, c *wiki.Corpus, pair wiki.LanguagePair, art *MatchArtifacts) (*Result, error) {
-	if art == nil {
-		art = &MatchArtifacts{}
-	}
-	res := &Result{Pair: pair, PerType: make(map[[2]string]*TypeResult)}
-	if art.Types != nil {
-		res.Types = art.Types
-	} else {
-		res.Types = MatchEntityTypes(c, pair)
-	}
+// MatchCtx is Match with cancellation: it checks ctx between pipeline
+// stages and inside the per-type scoring loops, and returns
+// (nil, ctx.Err()) as soon as the context is done. It builds everything
+// from the corpus — the cold reference a caching session must equal.
+func (m *Matcher) MatchCtx(ctx context.Context, c *wiki.Corpus, pair wiki.LanguagePair) (*Result, error) {
+	types := MatchEntityTypes(c, pair)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	switch {
-	case m.cfg.NoDictionary:
-		// vsim-without-dictionary ablation: never translate.
-	case art.HaveDict:
-		res.Dict = art.Dict
-	default:
-		d, err := dict.BuildCtx(ctx, c, pair.A, pair.B)
-		if err != nil {
+	var d *dict.Dictionary
+	if !m.cfg.NoDictionary {
+		var err error
+		if d, err = dict.BuildCtx(ctx, c, pair.A, pair.B); err != nil {
 			return nil, err
 		}
-		res.Dict = d
 	}
-	results := make([]*TypeResult, len(res.Types))
-	copy(results, art.Aligned)
-	var todo []int
-	for i, r := range results {
-		if r == nil {
-			todo = append(todo, i)
-		}
-	}
-	errs := make([]error, len(res.Types))
-	if len(todo) > 0 {
-		ParallelTypes(ctx, len(todo), func(j int) {
-			i := todo[j]
-			if art.Align != nil {
-				results[i], errs[i] = art.Align(ctx, i)
-				return
-			}
-			tp := res.Types[i]
-			results[i], errs[i] = m.MatchTypeCtx(ctx, c, pair, tp[0], tp[1], res.Dict, nil)
-		})
-	}
+	aligned := make([]*TypeResult, len(types))
+	errs := make([]error, len(types))
+	ParallelTypes(ctx, len(types), func(i int) {
+		aligned[i], errs[i] = m.MatchTypeCtx(ctx, c, pair, types[i][0], types[i][1], d, nil)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -342,28 +292,33 @@ func (m *Matcher) MatchCtx(ctx context.Context, c *wiki.Corpus, pair wiki.Langua
 			return nil, err
 		}
 	}
-	for i, tp := range res.Types {
-		res.PerType[tp] = results[i]
+	return NewResult(pair, types, d, aligned), nil
+}
+
+// NewResult assembles a pair's Result from its entity-type alignment,
+// its dictionary and each type's alignment, in types order.
+func NewResult(pair wiki.LanguagePair, types [][2]string, d *dict.Dictionary, aligned []*TypeResult) *Result {
+	res := &Result{Pair: pair, Types: types, Dict: d, PerType: make(map[[2]string]*TypeResult, len(types))}
+	for i, tp := range types {
+		res.PerType[tp] = aligned[i]
 		res.TypeList = append(res.TypeList, tp[0])
 	}
 	sort.Strings(res.TypeList)
-	return res, nil
+	return res
 }
 
 // ParallelTypes runs worker(i) for every i in [0, n) across a
-// GOMAXPROCS-capped goroutine pool — the scheduling both the blocking
-// and the streaming match paths share. Once ctx is done, remaining
-// indices are skipped (drained without work); the caller decides what a
-// skip means by checking ctx.Err() afterwards. worker must be safe for
-// concurrent calls on distinct indices.
+// GOMAXPROCS-capped goroutine pool — the type scheduling of MatchCtx and
+// of a caching session's pair path; with n = 0 it starts no goroutine.
+// Once ctx is done, remaining indices are skipped (drained without
+// work); the caller decides what a skip means by checking ctx.Err()
+// afterwards. worker must be safe for concurrent calls on distinct
+// indices.
 func ParallelTypes(ctx context.Context, n int, worker func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	if n <= 0 {
+		return
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -404,10 +359,10 @@ func (m *Matcher) MatchType(c *wiki.Corpus, pair wiki.LanguagePair, typeA, typeB
 	return r
 }
 
-// BuildTypeArtifacts constructs the artifacts MatchTypeCtx would build
-// internally for one type pair, honouring the matcher's dictionary and
-// SVD configuration — the factory a caching session shares with the
-// inline path so cached and cold runs are identical.
+// BuildTypeArtifacts constructs one type pair's artifacts, honouring the
+// matcher's dictionary and SVD configuration — the one factory a caching
+// session and a cold MatchTypeCtx share, so cached and cold runs are
+// identical.
 func (m *Matcher) BuildTypeArtifacts(ctx context.Context, c *wiki.Corpus, pair wiki.LanguagePair, typeA, typeB string, d *dict.Dictionary) (*TypeArtifacts, error) {
 	art := &TypeArtifacts{}
 	var err error
@@ -427,32 +382,18 @@ func (m *Matcher) BuildTypeArtifacts(ctx context.Context, c *wiki.Corpus, pair w
 
 // MatchTypeCtx is MatchType with cancellation and artifact injection: ctx
 // is checked during artifact construction and at every chunk boundary of
-// the pair-scoring stage, and art (when non-nil) supplies a prebuilt
-// TypeData and LSI model so the alignment skips straight to scoring.
+// the pair-scoring stage, and art (when non-nil) supplies the prebuilt
+// TypeData and LSI model so the alignment skips straight to scoring; a
+// nil art is built with BuildTypeArtifacts.
 func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.LanguagePair, typeA, typeB string, d *dict.Dictionary, art *TypeArtifacts) (*TypeResult, error) {
 	cfg := m.cfg
-	var td *sim.TypeData
-	var model *lsi.Model
-	if art != nil {
-		td, model = art.TD, art.LSI
-	}
-	if td == nil {
-		if cfg.NoDictionary {
-			d = nil
-		}
+	if art == nil {
 		var err error
-		if td, err = sim.BuildTypeDataCtx(ctx, c, pair, typeA, typeB, d); err != nil {
+		if art, err = m.BuildTypeArtifacts(ctx, c, pair, typeA, typeB, d); err != nil {
 			return nil, err
 		}
 	}
-	if model == nil {
-		var err error
-		model, err = lsi.BuildWithCtx(ctx, td.Duals, cfg.LSIRank,
-			lsi.Options{ExactSVD: cfg.ExactSVD}, td.Attrs...)
-		if err != nil {
-			return nil, err
-		}
-	}
+	td, model := art.TD, art.LSI
 	r := &TypeResult{TypeA: typeA, TypeB: typeB, TD: td, LSI: model}
 
 	vsim := func(i, j int) float64 {

@@ -39,59 +39,6 @@ func TestParallelMatchEqualsSequential(t *testing.T) {
 	}
 }
 
-// TestMatchCtxAligned: alignments handed in through Aligned are used as
-// they are, Align runs only for the missing ones, and with none missing
-// MatchCtx calls Align not at all.
-func TestMatchCtxAligned(t *testing.T) {
-	c, _ := corpus(t)
-	m := NewMatcher(DefaultConfig())
-	ctx := context.Background()
-	full := m.Match(c, wiki.PtEn)
-	n := len(full.Types)
-	if n < 2 {
-		t.Fatalf("need at least two types, got %d", n)
-	}
-	aligned := make([]*TypeResult, n)
-	for i, tp := range full.Types {
-		aligned[i] = full.PerType[tp]
-	}
-	for _, missing := range []int{-1, n / 2} {
-		have := append([]*TypeResult(nil), aligned...)
-		if missing >= 0 {
-			have[missing] = nil
-		}
-		var mu sync.Mutex
-		var called []int
-		res, err := m.MatchCtx(ctx, c, wiki.PtEn, &MatchArtifacts{
-			Types: full.Types, Dict: full.Dict, HaveDict: true, Aligned: have,
-			Align: func(_ context.Context, i int) (*TypeResult, error) {
-				mu.Lock()
-				called = append(called, i)
-				mu.Unlock()
-				return aligned[i], nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []int(nil)
-		if missing >= 0 {
-			want = []int{missing}
-		}
-		if len(called) != len(want) || (len(want) == 1 && called[0] != want[0]) {
-			t.Errorf("missing %d: Align called for %v, want %v", missing, called, want)
-		}
-		for i, tp := range full.Types {
-			if res.PerType[tp] != aligned[i] {
-				t.Errorf("missing %d: type %v is not the handed-in alignment", missing, tp)
-			}
-		}
-		if len(res.TypeList) != n {
-			t.Errorf("missing %d: TypeList has %d types, want %d", missing, len(res.TypeList), n)
-		}
-	}
-}
-
 // TestScorePairsCoversEveryIndexOnce drives the chunked worker pool of
 // the pair-scoring stage directly: every index in [0, n) must be visited
 // exactly once, for sizes on both sides of the parallelism threshold.

@@ -154,6 +154,31 @@ func TestMatchStreamCancel(t *testing.T) {
 	}
 }
 
+// TestCancelledPairStreamWithholdsFinal: a pair stream whose context is
+// done before any type runs skips every type, and must then withhold its
+// FinalMatch line rather than answer with types missing. The pair node
+// is cached, so the stream may start or fail with the context's error;
+// it runs many times because the engine picks either at random.
+func TestCancelledPairStreamWithholdsFinal(t *testing.T) {
+	s := New(smallCorpus(t))
+	if _, err := s.Types(context.Background(), wiki.PtEn); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for range 20 {
+		lines, err := s.ServeStream(ctx, protocol.MatchRequest{Pair: "pt-en"})
+		if err != nil {
+			continue
+		}
+		for line := range lines {
+			if line.FinalMatch != nil {
+				t.Fatalf("cancelled stream sent a FinalMatch with %d of its types", len(line.FinalMatch.Results))
+			}
+		}
+	}
+}
+
 // TestAbandonedAuditStreamSettles: a consumer that reads the first line
 // of a cluster-bearing audit stream, cancels and stops reading leaves no
 // goroutine behind; the producer must not block on a line nobody will

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/multi"
 	"repro/internal/protocol"
 	"repro/internal/wiki"
 )
@@ -39,28 +38,31 @@ func (s *Session) ServeMatch(ctx context.Context, req protocol.MatchRequest) (*p
 		if err != nil {
 			return nil, protocol.FromErr(err)
 		}
-		return &protocol.MatchResponse{
-			Pair:      r.Pair.String(),
-			Types:     [][2]string{{r.Type, typeB}},
-			Results:   []protocol.TypeResult{tm.dto(msSince(start))},
-			ElapsedMS: msSince(start),
-			Cache:     s.CacheStats(),
-		}, nil
+		resp := s.matchResponse(r.Pair, [][2]string{{r.Type, typeB}}, []*typeMatch{tm}, start)
+		resp.Results[0].ElapsedMS = resp.ElapsedMS
+		return resp, nil
 	}
-	res, matches, err := s.matchWith(ctx, r.Pair, m)
+	pd, matches, err := s.matchWith(ctx, r.Pair, m)
 	if err != nil {
 		return nil, protocol.FromErr(err)
 	}
+	return s.matchResponse(r.Pair, pd.types, matches, start), nil
+}
+
+// matchResponse assembles a pair-scoped answer — ServeMatch's, and the
+// FinalMatch line of a pair stream — from the alignment and each type's
+// match in its order.
+func (s *Session) matchResponse(pair wiki.LanguagePair, types [][2]string, matches []*typeMatch, start time.Time) *protocol.MatchResponse {
 	resp := &protocol.MatchResponse{
-		Pair:      r.Pair.String(),
-		Types:     res.Types,
+		Pair:      pair.String(),
+		Types:     cloneTypes(types),
 		ElapsedMS: msSince(start),
 		Cache:     s.CacheStats(),
 	}
 	for _, tm := range matches {
 		resp.Results = append(resp.Results, tm.dto(0))
 	}
-	return resp, nil
+	return resp
 }
 
 // ServeStream runs a MatchRequest with streamed progress: pair-scoped
@@ -68,8 +70,9 @@ func (s *Session) ServeMatch(ctx context.Context, req protocol.MatchRequest) (*p
 // FinalMatch line; all-pairs requests emit one Pair line per finished
 // language pair and close with a FinalAll line. The channel is buffered
 // for the whole run, so an abandoned consumer never strands the
-// workers; after a cancellation, Error lines record the skipped work
-// and the final line is withheld. Single-type requests cannot stream.
+// workers; after a cancellation, Error lines record the work it cut
+// short and the final line is withheld. Single-type requests cannot
+// stream.
 func (s *Session) ServeStream(ctx context.Context, req protocol.MatchRequest) (<-chan protocol.StreamLine, error) {
 	r, err := req.Validate()
 	if err != nil {
@@ -82,52 +85,41 @@ func (s *Session) ServeStream(ctx context.Context, req protocol.MatchRequest) (<
 		return s.StreamAll(ctx, r)
 	}
 	start := time.Now()
-	updates, err := s.streamWith(ctx, r.Pair, s.matcherFor(r.Overrides))
+	pd, updates, err := s.streamWith(ctx, r.Pair, s.matcherFor(r.Overrides))
 	if err != nil {
 		return nil, protocol.FromErr(err)
 	}
-	return s.relayPairStream(r, start, updates), nil
+	return s.relayPairStream(r.Pair, pd.types, start, updates), nil
 }
 
 // relayPairStream translates the session's TypeUpdate stream into
-// protocol lines, assembling the FinalMatch summary when every type
-// completed. The output channel is buffered for the whole stream.
-func (s *Session) relayPairStream(r protocol.Resolved, start time.Time, updates <-chan TypeUpdate) <-chan protocol.StreamLine {
-	out := make(chan protocol.StreamLine, cap(updates)+2)
+// protocol lines, filling each type's slot by its Index, and closes with
+// the FinalMatch answer when every type completed. The output channel is
+// buffered for the whole stream.
+func (s *Session) relayPairStream(pair wiki.LanguagePair, types [][2]string, start time.Time, updates <-chan TypeUpdate) <-chan protocol.StreamLine {
+	out := make(chan protocol.StreamLine, len(types)+1)
 	go func() {
 		defer close(out)
-		done, failed := 0, false
-		byType := make(map[string]protocol.TypeResult)
-		var types [][2]string
-		total := 0
+		matches := make([]*typeMatch, len(types))
+		done, aligned := 0, 0
 		for u := range updates {
 			done++
-			total = u.Total
 			line := protocol.StreamLine{Done: done, Total: u.Total}
 			if u.Err != nil {
-				failed = true
 				line.Error = protocol.FromErr(u.Err)
 			} else {
+				matches[u.Index] = u.match
+				aligned++
 				dto := u.match.dto(0)
-				byType[u.TypeA] = dto
-				types = append(types, [2]string{u.TypeA, u.TypeB})
 				line.Type = &dto
 			}
 			out <- line
 		}
-		if failed {
+		// A failed type, or one a cancellation skipped, withholds the final line.
+		if aligned < len(types) {
 			return
 		}
-		final := &protocol.MatchResponse{
-			Pair:      r.Pair.String(),
-			Types:     sortTypePairs(types),
-			ElapsedMS: msSince(start),
-			Cache:     s.CacheStats(),
-		}
-		for _, tp := range final.Types {
-			final.Results = append(final.Results, byType[tp[0]])
-		}
-		out <- protocol.StreamLine{Done: done, Total: total, FinalMatch: final}
+		out <- protocol.StreamLine{Done: done, Total: len(types), FinalMatch: s.matchResponse(pair, types, matches, start)}
 	}()
 	return out
 }
@@ -191,27 +183,6 @@ func (s *Session) matcherFor(o protocol.Overrides) *core.Matcher {
 	return core.NewMatcher(o.Apply(s.cfg))
 }
 
-// pairMatcherFor is matcherFor lifted to the batch scheduler's
-// PairMatcher interface.
-func (s *Session) pairMatcherFor(o protocol.Overrides) multi.PairMatcher {
-	if o.Empty() {
-		return s
-	}
-	return overridePairMatcher{s: s, m: core.NewMatcher(o.Apply(s.cfg))}
-}
-
-// overridePairMatcher routes batch pairs through the session's artifact
-// cache while scoring with an override matcher.
-type overridePairMatcher struct {
-	s *Session
-	m *core.Matcher
-}
-
-func (p overridePairMatcher) Match(ctx context.Context, pair wiki.LanguagePair) (*core.Result, error) {
-	res, _, err := p.s.matchWith(ctx, pair, p.m)
-	return res, err
-}
-
 // counterpartType resolves the aligned counterpart of a single-type
 // request's source type, or a CodeNotFound error.
 func (s *Session) counterpartType(ctx context.Context, r protocol.Resolved) (string, error) {
@@ -225,17 +196,6 @@ func (s *Session) counterpartType(ctx context.Context, r protocol.Resolved) (str
 		}
 	}
 	return "", protocol.Errorf(protocol.CodeNotFound, "no matched entity type %q for pair %s", r.Type, r.Pair)
-}
-
-// sortTypePairs orders an alignment by source type — the deterministic
-// order Match responses use.
-func sortTypePairs(types [][2]string) [][2]string {
-	for i := 1; i < len(types); i++ {
-		for j := i; j > 0 && types[j][0] < types[j-1][0]; j-- {
-			types[j], types[j-1] = types[j-1], types[j]
-		}
-	}
-	return types
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }

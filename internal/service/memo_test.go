@@ -476,7 +476,9 @@ func TestMemoCancelledNotMemoized(t *testing.T) {
 }
 
 // TestMemoBypassedByOverrides: a threshold-override request neither
-// fills the memo on a cold session nor reads it on a warm one.
+// fills the memo on a cold session nor reads or replaces it on a warm
+// one, whether it is a unary match or a pair stream, whose FinalMatch
+// must equal the unary answer.
 func TestMemoBypassedByOverrides(t *testing.T) {
 	c := smallCorpus(t)
 	ctx := context.Background()
@@ -486,42 +488,71 @@ func TestMemoBypassedByOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(c)
-	if _, err := s.ServeMatch(ctx, override); err != nil {
-		t.Fatal(err)
-	}
-	types, err := s.Types(ctx, wiki.PtEn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range types {
-		if memoOf(s, wiki.PtEn, tp[0], tp[1]) != nil {
-			t.Fatalf("override request filled the memo of %v", tp)
-		}
-	}
+	for name, serve := range map[string]func(t *testing.T, s *Session) *protocol.MatchResponse{
+		"match": func(t *testing.T, s *Session) *protocol.MatchResponse {
+			resp, err := s.ServeMatch(ctx, override)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		},
+		"stream": func(t *testing.T, s *Session) *protocol.MatchResponse {
+			lines, err := s.ServeStream(ctx, override)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var final *protocol.MatchResponse
+			for line := range lines {
+				if line.Error != nil {
+					t.Fatal(line.Error)
+				}
+				if line.FinalMatch != nil {
+					final = line.FinalMatch
+				}
+			}
+			if final == nil {
+				t.Fatal("override stream closed without a FinalMatch line")
+			}
+			return final
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New(c)
+			cold := serve(t, s)
+			if string(stripTimings(t, cold)) != string(stripTimings(t, want)) {
+				t.Error("override response on a cold session differs from a session configured with the override")
+			}
+			types, err := s.Types(ctx, wiki.PtEn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tp := range types {
+				if memoOf(s, wiki.PtEn, tp[0], tp[1]) != nil {
+					t.Fatalf("override request filled the memo of %v", tp)
+				}
+			}
 
-	warm, err := s.Match(ctx, wiki.PtEn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ServeMatch(ctx, override)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(stripTimings(t, got)) != string(stripTimings(t, want)) {
-		t.Error("override response on a warm session differs from a session configured with the override")
-	}
-	single, err := s.ServeMatch(ctx, protocol.MatchRequest{Pair: "pt-en", Type: types[0][0], TSim: f64p(0.8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(single.Results) != 1 {
-		t.Fatalf("single-type override returned %d results", len(single.Results))
-	}
-	for _, tp := range types {
-		if tm := memoOf(s, wiki.PtEn, tp[0], tp[1]); tm == nil || tm.tr != warm.PerType[tp] {
-			t.Errorf("override request replaced the memo of %v", tp)
-		}
+			warm, err := s.Match(ctx, wiki.PtEn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := serve(t, s)
+			if string(stripTimings(t, got)) != string(stripTimings(t, want)) {
+				t.Error("override response on a warm session differs from a session configured with the override")
+			}
+			single, err := s.ServeMatch(ctx, protocol.MatchRequest{Pair: "pt-en", Type: types[0][0], TSim: f64p(0.8)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(single.Results) != 1 {
+				t.Fatalf("single-type override returned %d results", len(single.Results))
+			}
+			for _, tp := range types {
+				if tm := memoOf(s, wiki.PtEn, tp[0], tp[1]); tm == nil || tm.tr != warm.PerType[tp] {
+					t.Errorf("override request replaced the memo of %v", tp)
+				}
+			}
+		})
 	}
 }
 

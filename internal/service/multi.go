@@ -44,7 +44,7 @@ func (b sessionBatch) Languages(context.Context) ([]wiki.Language, error) {
 // PairMatcher implements BatchSource: pairs run through the session's
 // artifact cache on GOMAXPROCS workers.
 func (b sessionBatch) PairMatcher(o protocol.Overrides) BatchMatcher {
-	return BatchMatcher{PairMatcher: b.s.pairMatcherFor(o), Cache: b.s.CacheStats}
+	return BatchMatcher{PairMatcher: pairMatcher{b.s, b.s.matcherFor(o)}, Cache: b.s.CacheStats}
 }
 
 // AuditClusters implements BatchSource: it compares every cross-linked

@@ -114,13 +114,7 @@ func RestoreFiltered(c *wiki.Corpus, r io.Reader, keep func(wiki.LanguagePair) b
 	s.BatchRoutes = NewBatchRoutes(sessionBatch{s})
 	s.state.Store(&sessionState{corpus: c})
 	for _, p := range snap.Pairs {
-		pd := &pairData{types: p.Types, dict: p.Dict}
-		if pd.types == nil {
-			// Preserve the cache invariant: a nil alignment is the
-			// compute-it sentinel, an empty one is a cached fact.
-			pd.types = [][2]string{}
-		}
-		s.eng.Seed(artifact.PairKey(p.Pair), pd)
+		s.eng.Seed(artifact.PairKey(p.Pair), &pairData{types: p.Types, dict: p.Dict})
 	}
 	for _, t := range snap.Types {
 		s.eng.Seed(artifact.TypeKey(t.Pair, t.TypeA, t.TypeB),

@@ -121,73 +121,95 @@ func (s *Session) Corpus() *wiki.Corpus { return s.state.Load().corpus }
 // shared with every other request served from the same cache and must be
 // treated as read-only.
 func (s *Session) Match(ctx context.Context, pair wiki.LanguagePair) (*core.Result, error) {
-	res, _, err := s.matchWith(ctx, pair, s.m)
-	return res, err
+	return pairMatcher{s, s.m}.Match(ctx, pair)
 }
 
-// matchWith is Match with an explicit matcher, the seam that lets a
-// protocol request override matching thresholds per request: m aligns,
-// while artifact construction (and the cache key space) stays bound to
-// the session's own configuration. Thresholds do not shape artifacts,
-// so any threshold-overridden matcher reuses the shared cache safely.
-// Alongside the result it returns each type's alignment in Types order,
-// for callers that serve the wire correspondences.
-func (s *Session) matchWith(ctx context.Context, pair wiki.LanguagePair, m *core.Matcher) (*core.Result, []*typeMatch, error) {
+// pairMatcher runs pairs through the session's artifact cache, aligning
+// with m: the session's own matcher, or a threshold-override one from
+// matcherFor. It is the batch scheduler's multi.PairMatcher.
+type pairMatcher struct {
+	s *Session
+	m *core.Matcher
+}
+
+// Match implements multi.PairMatcher.
+func (p pairMatcher) Match(ctx context.Context, pair wiki.LanguagePair) (*core.Result, error) {
+	pd, matches, err := p.s.matchWith(ctx, pair, p.m)
+	if err != nil {
+		return nil, err
+	}
+	aligned := make([]*core.TypeResult, len(matches))
+	for i, tm := range matches {
+		aligned[i] = tm.tr
+	}
+	return core.NewResult(pair, cloneTypes(pd.types), pd.dict, aligned), nil
+}
+
+// matchWith aligns every type of the pair with matcher m, the seam that
+// lets a protocol request override matching thresholds per request: m
+// aligns, while artifact construction (and the cache key space) stays
+// bound to the session's own configuration. Thresholds do not shape
+// artifacts, so any threshold-overridden matcher reuses the shared cache
+// safely. It returns the pair's cached artifacts, which are shared and
+// read-only, and each type's alignment in their Types order.
+func (s *Session) matchWith(ctx context.Context, pair wiki.LanguagePair, m *core.Matcher) (*pairData, []*typeMatch, error) {
 	st := s.state.Load()
 	pd, err := s.pairArtifacts(ctx, st, pair)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Copy the cached alignment: MatchCtx hands Types to the caller via
-	// Result.Types, and a caller reordering its result must not corrupt
-	// the shared cache entry.
-	types := make([][2]string, len(pd.types))
-	copy(types, pd.types)
-	// Take what the cache already holds on this goroutine: a type whose
-	// node is cached and memoized needs no worker, so a warm pair is a
-	// lookup and MatchCtx schedules nothing. Only the rest go to Align,
-	// which reuses the nodes found here.
-	nodes := make([]*typeNode, len(types))
-	matches := make([]*typeMatch, len(types))
-	aligned := make([]*core.TypeResult, len(types))
-	for i, tp := range types {
-		v, ok := s.eng.Lookup(artifact.TypeKey(pair, tp[0], tp[1]), st.epoch)
-		if !ok {
-			continue
-		}
-		nodes[i] = v.(*typeNode)
-		if m == s.m {
-			if matches[i] = nodes[i].memo(); matches[i] != nil {
-				aligned[i] = matches[i].tr
-			}
-		}
-	}
-	art := &core.MatchArtifacts{
-		Types:    types,
-		Dict:     pd.dict,
-		HaveDict: true,
-		Aligned:  aligned,
-		Align: func(ctx context.Context, i int) (*core.TypeResult, error) {
-			node := nodes[i]
-			if node == nil {
-				var err error
-				if node, err = s.typeNode(ctx, st, pair, types[i][0], types[i][1], pd.dict); err != nil {
-					return nil, err
-				}
-			}
-			tm, err := s.alignNode(ctx, st, pair, pd, node, types[i][0], types[i][1], m)
-			if err != nil {
-				return nil, err
-			}
-			matches[i] = tm
-			return tm.tr, nil
-		},
-	}
-	res, err := m.MatchCtx(ctx, st.corpus, pair, art)
-	if err != nil {
+	matches := make([]*typeMatch, len(pd.types))
+	errs := make([]error, len(pd.types))
+	s.alignTypes(ctx, st, pair, pd, m, func(i int, tm *typeMatch, err error) {
+		matches[i], errs[i] = tm, err
+	})
+	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	return res, matches, nil
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return pd, matches, nil
+}
+
+// alignTypes is the one scheduler of a pair's types, behind Match,
+// ServeMatch, the batch pair matcher, MatchStream and ServeStream. It
+// calls emit once per aligned type with its index in pd.types, from
+// several goroutines at once. A type whose node is cached and, for the
+// session's own matcher, memoized needs no worker: it is emitted on the
+// calling goroutine, so a warm pair is a lookup that starts none. The
+// rest go to core.ParallelTypes, reusing the nodes found here; once ctx
+// is done, types not yet started are skipped without an emit.
+func (s *Session) alignTypes(ctx context.Context, st *sessionState, pair wiki.LanguagePair, pd *pairData, m *core.Matcher, emit func(i int, tm *typeMatch, err error)) {
+	if ctx.Err() != nil {
+		return
+	}
+	type pending struct {
+		i    int
+		node *typeNode // nil when not cached yet
+	}
+	var todo []pending
+	for i, tp := range pd.types {
+		var node *typeNode
+		if v, ok := s.eng.Lookup(artifact.TypeKey(pair, tp[0], tp[1]), st.epoch); ok {
+			node = v.(*typeNode)
+			if m == s.m {
+				if tm := node.memo(); tm != nil {
+					emit(i, tm, nil)
+					continue
+				}
+			}
+		}
+		todo = append(todo, pending{i, node})
+	}
+	core.ParallelTypes(ctx, len(todo), func(j int) {
+		p := todo[j]
+		tp := pd.types[p.i]
+		tm, err := s.alignType(ctx, st, pair, pd, p.node, tp[0], tp[1], m)
+		emit(p.i, tm, err)
+	})
 }
 
 // MatchType aligns one entity-type pair, reusing cached artifacts and the
@@ -208,23 +230,21 @@ func (s *Session) matchTypeWith(ctx context.Context, pair wiki.LanguagePair, typ
 	if err != nil {
 		return nil, err
 	}
-	return s.alignType(ctx, st, pair, pd, typeA, typeB, m)
+	return s.alignType(ctx, st, pair, pd, nil, typeA, typeB, m)
 }
 
-// alignType aligns one type pair with matcher m. The session's own
-// matcher goes through the type node's memo; a threshold-override
-// matcher computes a fresh result and leaves the memo alone, so the memo
-// only ever holds the session configuration's result.
-func (s *Session) alignType(ctx context.Context, st *sessionState, pair wiki.LanguagePair, pd *pairData, typeA, typeB string, m *core.Matcher) (*typeMatch, error) {
-	node, err := s.typeNode(ctx, st, pair, typeA, typeB, pd.dict)
-	if err != nil {
-		return nil, err
+// alignType aligns one type pair with matcher m, on its type node when
+// the caller has it at hand, else on the one the engine returns. The
+// session's own matcher goes through the node's memo; a
+// threshold-override matcher computes a fresh result and leaves the memo
+// alone, so the memo only ever holds the session configuration's result.
+func (s *Session) alignType(ctx context.Context, st *sessionState, pair wiki.LanguagePair, pd *pairData, node *typeNode, typeA, typeB string, m *core.Matcher) (*typeMatch, error) {
+	if node == nil {
+		var err error
+		if node, err = s.typeNode(ctx, st, pair, typeA, typeB, pd.dict); err != nil {
+			return nil, err
+		}
 	}
-	return s.alignNode(ctx, st, pair, pd, node, typeA, typeB, m)
-}
-
-// alignNode is alignType on a type node already at hand.
-func (s *Session) alignNode(ctx context.Context, st *sessionState, pair wiki.LanguagePair, pd *pairData, node *typeNode, typeA, typeB string, m *core.Matcher) (*typeMatch, error) {
 	align := func(ctx context.Context) (*core.TypeResult, error) {
 		return m.MatchTypeCtx(ctx, st.corpus, pair, typeA, typeB, pd.dict, node.art)
 	}
@@ -245,9 +265,14 @@ func (s *Session) Types(ctx context.Context, pair wiki.LanguagePair) ([][2]strin
 	if err != nil {
 		return nil, err
 	}
-	out := make([][2]string, len(pd.types))
-	copy(out, pd.types)
-	return out, nil
+	return cloneTypes(pd.types), nil
+}
+
+// cloneTypes copies a cached alignment for a caller, who may reorder it
+// without corrupting the shared cache entry. The copy is never nil, so
+// an empty alignment reaches the wire as [] rather than null.
+func cloneTypes(types [][2]string) [][2]string {
+	return append([][2]string{}, types...)
 }
 
 // Dictionary returns the pair's cached translation dictionary (nil when
@@ -339,12 +364,6 @@ func (s *Session) buildPairData(ctx context.Context, c *wiki.Corpus, pair wiki.L
 		return nil, err
 	}
 	pd := &pairData{types: core.MatchEntityTypes(c, pair)}
-	if pd.types == nil {
-		// Keep the cached alignment non-nil: nil is MatchArtifacts'
-		// compute-it sentinel, and an empty alignment must still count
-		// as cached on warm calls.
-		pd.types = [][2]string{}
-	}
 	if !s.cfg.NoDictionary {
 		var err error
 		if pd.dict, err = dict.BuildCtx(ctx, c, pair.A, pair.B); err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/synth"
 	"repro/internal/wiki"
 )
@@ -282,6 +284,38 @@ func TestMatchStream(t *testing.T) {
 	for _, tp := range blocking.Types {
 		if got[tp[0]] != fmt.Sprint(blocking.PerType[tp].CrossPairsSorted()) {
 			t.Errorf("type %s: streamed result differs from blocking match", tp[0])
+		}
+	}
+}
+
+// TestEmptyAlignmentEncodesEmpty: a pair without matched entity types
+// (pt-vi has no cross-language links in the test corpus) answers
+// "types":[] rather than null, cold and warm, unary and streamed.
+func TestEmptyAlignmentEncodesEmpty(t *testing.T) {
+	s := New(smallCorpus(t))
+	ctx := context.Background()
+	req := protocol.MatchRequest{Pair: "pt-vi"}
+	for _, run := range []string{"cold", "warm"} {
+		resp, err := s.ServeMatch(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, err := s.ServeStream(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var final *protocol.MatchResponse
+		for line := range lines {
+			final = line.FinalMatch
+		}
+		for name, r := range map[string]*protocol.MatchResponse{"match": resp, "stream": final} {
+			raw, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(raw), `"types":[]`) {
+				t.Errorf("%s %s answer: %s, want \"types\":[]", run, name, raw)
+			}
 		}
 	}
 }

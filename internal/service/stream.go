@@ -35,15 +35,18 @@ type TypeUpdate struct {
 // stream warms the cache for later calls and vice versa; the streamed
 // TypeResults are shared and read-only.
 func (s *Session) MatchStream(ctx context.Context, pair wiki.LanguagePair) (<-chan TypeUpdate, error) {
-	return s.streamWith(ctx, pair, s.m)
+	_, out, err := s.streamWith(ctx, pair, s.m)
+	return out, err
 }
 
-// streamWith is MatchStream with an explicit matcher (see matchWith).
-func (s *Session) streamWith(ctx context.Context, pair wiki.LanguagePair, m *core.Matcher) (<-chan TypeUpdate, error) {
+// streamWith is MatchStream with an explicit matcher (see matchWith). It
+// runs alignTypes on its own goroutine and also returns the pair's
+// cached artifacts, which are shared and read-only.
+func (s *Session) streamWith(ctx context.Context, pair wiki.LanguagePair, m *core.Matcher) (*pairData, <-chan TypeUpdate, error) {
 	st := s.state.Load()
 	pd, err := s.pairArtifacts(ctx, st, pair)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	types := pd.types
 	// Each type emits at most one update, so this buffer guarantees no
@@ -51,16 +54,13 @@ func (s *Session) streamWith(ctx context.Context, pair wiki.LanguagePair, m *cor
 	out := make(chan TypeUpdate, len(types))
 	go func() {
 		defer close(out)
-		core.ParallelTypes(ctx, len(types), func(i int) {
-			tp := types[i]
-			u := TypeUpdate{Index: i, Total: len(types), TypeA: tp[0], TypeB: tp[1]}
-			tm, err := s.alignType(ctx, st, pair, pd, tp[0], tp[1], m)
+		s.alignTypes(ctx, st, pair, pd, m, func(i int, tm *typeMatch, err error) {
+			u := TypeUpdate{Index: i, Total: len(types), TypeA: types[i][0], TypeB: types[i][1], Err: err, match: tm}
 			if err == nil {
-				u.Result, u.match = tm.tr, tm
+				u.Result = tm.tr
 			}
-			u.Err = err
 			out <- u
 		})
 	}()
-	return out, nil
+	return pd, out, nil
 }
