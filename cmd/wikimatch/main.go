@@ -19,7 +19,9 @@
 // pairwise correspondences are merged into cross-language attribute
 // clusters, with transitive Pt–Vi-style derivations, agreement scores
 // and conflict reports — evaluated against the generator's gold data
-// when the corpus is synthetic. It honours -remote too.
+// when the corpus is synthetic. It honours -remote too; the gold
+// evaluation is then skipped unless the daemon serves the corpus the
+// CLI generated.
 //
 // The audit subcommand runs the batch and then compares every
 // cross-linked entity's values across the matched attribute clusters,
@@ -33,13 +35,13 @@
 // per-edition statistics report with a structured skip-reason summary.
 // The language set is entirely data-driven: whatever editions the dump
 // directory holds become the corpus. The same ingestion runs implicitly
-// wherever -dumps is accepted. With -dry-run it only counts; with
-// -store it writes a session snapshot wikimatchd can warm-start from.
+// wherever -dumps is accepted. With -dry-run it only counts.
 //
 // The precompute subcommand is the offline half of the offline/online
-// split: it builds every artifact for the requested language pairs and
-// writes them as one atomic snapshot file that `wikimatchd -store`
-// warm-starts from.
+// split and the one snapshot writer: it builds every artifact for the
+// requested language pairs (by default the pivot plan's pairs, every
+// edition against English or the first edition) and writes them as one
+// atomic snapshot file that `wikimatchd -store` warm-starts from.
 //
 // Usage:
 //
@@ -49,7 +51,7 @@
 //	          [-tsim 0.6] [-tlsi 0.1] [-stream]
 //
 //	wikimatch matchall [-mode pivot|direct] [-hub LANG] [-workers N]
-//	          [-scale small|full] [-dumps dir] [-store out.wmsnap]
+//	          [-scale small|full] [-dumps dir]
 //	          [-remote URL] [-timings=false]
 //	          [-clusters] [-tsim 0.6] [-tlsi 0.1]
 //
@@ -58,7 +60,7 @@
 //	          [-scale small|full] [-dumps dir] [-remote URL] [-timings=false]
 //
 //	wikimatch ingest -dumps dir [-langs en,pt,...] [-workers N]
-//	          [-dry-run] [-no-infer] [-progress] [-store corpus.wmsnap]
+//	          [-dry-run] [-no-infer] [-progress]
 //
 //	wikimatch precompute -store artifacts.wmsnap
 //	          [-pairs pt-en,vi-en] [-scale small|full] [-dumps dir]
@@ -72,6 +74,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -79,6 +82,7 @@ import (
 	"repro"
 	"repro/internal/eval"
 	"repro/internal/ingest"
+	"repro/internal/multi"
 	"repro/internal/protocol"
 	"repro/internal/synth"
 	"repro/internal/wiki"
@@ -197,8 +201,8 @@ func setMatchOverrides(fs *flag.FlagSet, req *repro.MatchRequest, tsim, tlsi *fl
 	})
 }
 
-// newBackend selects the in-process session or the remote protocol
-// client.
+// newBackend selects the in-process session over corpus or, with a
+// remote URL, the protocol client (corpus is then unused).
 func newBackend(remote string, corpus *repro.Corpus) (repro.Backend, error) {
 	if remote == "" {
 		return repro.NewLocalBackend(repro.NewSession(corpus)), nil
@@ -242,9 +246,9 @@ func loadCorpus(w io.Writer, dumpsDir string, cfg synth.Config) (*wiki.Corpus, *
 
 // ingestCmd is the standalone ingestion subcommand: it streams real (or
 // corpusgen-fabricated) dump files into a corpus, prints the per-edition
-// statistics report with structured skip reasons, and optionally writes
-// a session snapshot for wikimatchd -store. With -dry-run it only counts
-// — per-language triple/page/skip tallies, no corpus, no artifacts.
+// statistics report with structured skip reasons. With -dry-run it only
+// counts — per-language triple/page/skip tallies, no corpus. Snapshots
+// are precompute's job: `precompute -dumps dir` ingests the same way.
 func ingestCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wikimatch ingest", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -253,17 +257,12 @@ func ingestCmd(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "editions ingesting concurrently (0 = one per edition)")
 	dryRun := fs.Bool("dry-run", false, "parse and count only: no corpus, no artifacts")
 	noInfer := fs.Bool("no-infer", false, "disable property-profile type inference for untyped entities")
-	storePath := fs.String("store", "", "write a session snapshot stamped with the ingested corpus's fingerprint (wikimatchd -store warm-starts from it)")
 	progress := fs.Bool("progress", false, "print one line per completed dump file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *dumpsDir == "" {
 		fmt.Fprintln(stderr, "wikimatch ingest: -dumps is required")
-		return 2
-	}
-	if *dryRun && *storePath != "" {
-		fmt.Fprintln(stderr, "wikimatch ingest: -dry-run builds no corpus to -store")
 		return 2
 	}
 	var langs []wiki.Language
@@ -285,19 +284,6 @@ func ingestCmd(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	printIngestReport(stdout, res, *dryRun)
-	if *storePath != "" {
-		if err := repro.SaveSessionSnapshot(repro.NewSession(res.Corpus), *storePath); err != nil {
-			fmt.Fprintln(stderr, "save snapshot:", err)
-			return 1
-		}
-		info, err := os.Stat(*storePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "stat snapshot:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "\nsnapshot %s: %d bytes (corpus fingerprint %x)\n",
-			*storePath, info.Size(), res.Corpus.Fingerprint())
-	}
 	return 0
 }
 
@@ -337,14 +323,15 @@ func printIngestReport(w io.Writer, res *ingest.Result, dryRun bool) {
 }
 
 // precompute is the offline artifact build: it warms a session for every
-// requested language pair and writes the whole artifact cache as one
-// snapshot that wikimatchd -store (or repro.RestoreSessionFromFile)
-// loads in milliseconds.
+// requested language pair — by default the pivot plan's pairs, the
+// pairs matchall matches in pivot mode — and writes the whole artifact
+// cache as one snapshot that wikimatchd -store (or
+// repro.RestoreSessionFromFile) loads in milliseconds.
 func precompute(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wikimatch precompute", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	storePath := fs.String("store", "artifacts.wmsnap", "snapshot file to write (atomic)")
-	pairsFlag := fs.String("pairs", "pt-en,vi-en", "comma-separated language pairs to precompute")
+	pairsFlag := fs.String("pairs", "", "comma-separated language pairs to precompute (default: every edition paired with the pivot hub, English if present)")
 	scale := scaleFlag(fs)
 	dumpsDir := fs.String("dumps", "", "directory with dumps to ingest (DBpedia <lang>-*.ttl[.gz|.bz2], MediaWiki <lang>.xml) instead of generating")
 	tsim := fs.Float64("tsim", 0.6, "certain-match threshold Tsim")
@@ -355,7 +342,10 @@ func precompute(args []string, stdout, stderr io.Writer) int {
 
 	var pairs []wiki.LanguagePair
 	for _, raw := range strings.Split(*pairsFlag, ",") {
-		pair, err := repro.ParseLanguagePair(strings.TrimSpace(raw))
+		if raw = strings.TrimSpace(raw); raw == "" {
+			continue
+		}
+		pair, err := repro.ParseLanguagePair(raw)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -367,6 +357,10 @@ func precompute(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
+	}
+	if len(pairs) == 0 {
+		langs := corpus.Languages()
+		pairs = wiki.HubPairs(langs, multi.DefaultHub(langs))
 	}
 	session := repro.NewSession(corpus, repro.WithTSim(*tsim), repro.WithTLSI(*tlsi))
 	ctx := context.Background()
@@ -397,8 +391,8 @@ func precompute(args []string, stdout, stderr io.Writer) int {
 
 // matchallCmd runs the all-pairs multilingual batch and prints the
 // derived cross-language correspondence clusters, streaming per-pair
-// progress as pairs finish. With -store (in-process only), the batch's
-// whole artifact cache is flushed as a snapshot afterwards.
+// progress as pairs finish, then scores them against the generator's
+// gold data when the backend serves the generated corpus.
 func matchallCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wikimatch matchall", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -408,16 +402,11 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 	scale := scaleFlag(fs)
 	dumpsDir := fs.String("dumps", "", "directory with dumps to ingest (DBpedia <lang>-*.ttl[.gz|.bz2], MediaWiki <lang>.xml) instead of generating")
 	remote := fs.String("remote", "", "wikimatchd base URL; run the batch there instead of in process")
-	storePath := fs.String("store", "", "write the batch's artifact snapshot here afterwards (in-process only)")
 	clusters := fs.Bool("clusters", false, "print every cluster, not just the summary and samples")
 	timings := fs.Bool("timings", true, "print per-pair and total elapsed times")
 	tsim := fs.Float64("tsim", 0.6, "certain-match threshold Tsim")
 	tlsi := fs.Float64("tlsi", 0.1, "correlation threshold TLSI")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *remote != "" && *storePath != "" {
-		fmt.Fprintln(stderr, "matchall: -store is not supported with -remote (the artifacts live in the daemon)")
 		return 2
 	}
 
@@ -428,17 +417,14 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	var session *repro.Session
-	var backend repro.Backend
-	if *remote == "" {
-		session = repro.NewSession(corpus)
-		backend = repro.NewLocalBackend(session)
-	} else if backend, err = repro.NewAPIClient(*remote); err != nil {
+	backend, err := newBackend(*remote, corpus)
+	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	ctx := context.Background()
-	if err := printLanguages(ctx, stdout, backend); err != nil {
+	served, err := printLanguages(ctx, stdout, backend)
+	if err != nil {
 		fmt.Fprintln(stderr, "matchall:", err)
 		return 1
 	}
@@ -472,20 +458,15 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "matchall:", err)
 		return 1
 	}
-	if truth != nil {
+	switch {
+	case truth == nil:
+	case !reflect.DeepEqual(served, corpus.Stats()):
+		fmt.Fprintln(stdout, "\ngold evaluation skipped: the daemon serves a different corpus")
+	default:
 		if err := evalBatch(stdout, corpus, truth, batch); err != nil {
 			fmt.Fprintln(stderr, "matchall:", err)
 			return 1
 		}
-	}
-
-	if *storePath != "" {
-		if err := repro.SaveSessionSnapshot(session, *storePath); err != nil {
-			fmt.Fprintln(stderr, "save snapshot:", err)
-			return 1
-		}
-		cs := session.CacheStats()
-		fmt.Fprintf(stdout, "\nsnapshot %s: %d pairs, %d types\n", *storePath, cs.PairEntries, cs.TypeEntries)
 	}
 	return 0
 }
@@ -513,23 +494,21 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// With -remote the daemon's corpus is audited; none is loaded here.
-	var backend repro.Backend
+	var corpus *wiki.Corpus
 	if *remote == "" {
-		corpus, _, err := loadCorpus(stdout, *dumpsDir, *scale)
-		if err != nil {
+		var err error
+		if corpus, _, err = loadCorpus(stdout, *dumpsDir, *scale); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		backend = repro.NewLocalBackend(repro.NewSession(corpus))
-	} else {
-		var err error
-		if backend, err = repro.NewAPIClient(*remote); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
+	}
+	backend, err := newBackend(*remote, corpus)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	ctx := context.Background()
-	if err := printLanguages(ctx, stdout, backend); err != nil {
+	if _, err := printLanguages(ctx, stdout, backend); err != nil {
 		fmt.Fprintln(stderr, "audit:", err)
 		return 1
 	}
@@ -582,14 +561,15 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 }
 
 // printLanguages prints the language set of the corpus the backend
-// serves: the daemon's with -remote, the local session's otherwise.
-func printLanguages(ctx context.Context, w io.Writer, backend repro.Backend) error {
+// serves — the daemon's with -remote, the local session's otherwise —
+// and returns that corpus's statistics.
+func printLanguages(ctx context.Context, w io.Writer, backend repro.Backend) (wiki.Stats, error) {
 	stats, err := backend.Stats(ctx)
 	if err != nil {
-		return err
+		return wiki.Stats{}, err
 	}
 	fmt.Fprintf(w, "corpus languages: %v\n", stats.Corpus.Languages)
-	return nil
+	return stats.Corpus, nil
 }
 
 // printProgress prints a batch stream's per-pair progress line: the

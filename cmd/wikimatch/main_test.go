@@ -108,14 +108,6 @@ func TestRemoteMatchAllEquivalence(t *testing.T) {
 // -remote.
 func TestRemoteFlagValidation(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if code := matchallCmd([]string{"-remote", "http://localhost:1", "-store", "x.wmsnap"}, &out, &errBuf); code != 2 {
-		t.Errorf("-remote with -store exited %d, want 2", code)
-	}
-	if !strings.Contains(errBuf.String(), "-store is not supported with -remote") {
-		t.Errorf("stderr: %s", errBuf.String())
-	}
-	out.Reset()
-	errBuf.Reset()
 	if code := matchCmd([]string{"-pair", "bogus"}, &out, &errBuf); code != 2 {
 		t.Errorf("bad pair exited %d, want 2", code)
 	}
@@ -172,7 +164,8 @@ func TestStreamTypeRejected(t *testing.T) {
 
 // TestRemoteLanguagesFromDaemon: with -remote, matchall and audit name
 // the languages of the corpus the daemon serves, not of the corpus the
-// CLI would generate locally.
+// CLI would generate locally, and matchall does not score the daemon's
+// batch against the local corpus's gold data.
 func TestRemoteLanguagesFromDaemon(t *testing.T) {
 	cfg := repro.DefaultEditionsCorpus()
 	cfg.Languages = []wiki.Language{"de", "en", "fr"}
@@ -185,6 +178,7 @@ func TestRemoteLanguagesFromDaemon(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	want := "corpus languages: [de en fr]\n"
+	skipped := "\ngold evaluation skipped: the daemon serves a different corpus\n"
 	for name, cmd := range map[string]func([]string, io.Writer, io.Writer) int{
 		"matchall": matchallCmd,
 		"audit":    auditCmd,
@@ -196,6 +190,9 @@ func TestRemoteLanguagesFromDaemon(t *testing.T) {
 			}
 			if !strings.HasPrefix(out.String(), want) {
 				t.Errorf("output does not open with %q:\n%s", want, out.String())
+			}
+			if name == "matchall" && !strings.HasSuffix(out.String(), skipped) {
+				t.Errorf("output does not close with %q:\n%s", skipped, out.String())
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 // Dumps: exercise the full byte-level pipeline — write the synthetic
-// corpus to MediaWiki XML dumps on disk, load it back through the
-// streaming parser, and verify that matching from the reloaded corpus
-// reproduces the in-memory correspondences.
+// corpus to MediaWiki XML dumps on disk (one <lang>.xml per edition),
+// ingest the directory back, and verify that matching from the
+// reloaded corpus reproduces the in-memory correspondences.
 package main
 
 import (
@@ -43,26 +43,19 @@ func main() {
 			path, float64(info.Size())/(1<<20), corpus.LenLang(lang))
 	}
 
-	reloaded := repro.NewCorpus()
-	for _, lang := range corpus.Languages() {
-		f, err := os.Open(filepath.Join(dir, string(lang)+".xml"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := repro.LoadDump(reloaded, f, lang)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(res.Errors) > 0 {
-			log.Fatalf("%d page errors in %s dump, first: %v", len(res.Errors), lang, res.Errors[0])
-		}
+	ctx := context.Background()
+	res, err := repro.IngestDir(ctx, dir, repro.IngestOptions{})
+	if err != nil {
+		log.Fatal(err)
 	}
+	if tot := res.Totals(); tot.SkippedTotal() != 0 {
+		log.Fatalf("ingest skipped %d units: %v", tot.SkippedTotal(), tot.Skipped)
+	}
+	reloaded := res.Corpus
 	fmt.Printf("reloaded %d articles\n\n", reloaded.Len())
 
 	// A session is bound to one corpus, so the in-memory original and the
 	// reloaded copy each get their own.
-	ctx := context.Background()
 	orig, err := repro.NewSession(corpus).Match(ctx, repro.VnEn)
 	if err != nil {
 		log.Fatal(err)

@@ -1,8 +1,9 @@
 package repro
 
 import (
-	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dict"
@@ -20,17 +21,23 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Dump round-trip through the facade.
-	var buf bytes.Buffer
-	if err := WriteDump(&buf, corpus, Portuguese); err != nil {
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "pt.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDump(f, corpus, Portuguese); err != nil {
 		t.Fatalf("WriteDump: %v", err)
 	}
-	reloaded := NewCorpus()
-	res, err := LoadDump(reloaded, &buf, Portuguese)
-	if err != nil {
-		t.Fatalf("LoadDump: %v", err)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if res.Pages != corpus.LenLang(Portuguese) {
-		t.Errorf("reloaded %d pages, want %d", res.Pages, corpus.LenLang(Portuguese))
+	res, err := IngestDir(context.Background(), dir, IngestOptions{})
+	if err != nil {
+		t.Fatalf("IngestDir: %v", err)
+	}
+	if got := res.PerLang[Portuguese].Pages; got != corpus.LenLang(Portuguese) {
+		t.Errorf("reloaded %d pages, want %d", got, corpus.LenLang(Portuguese))
 	}
 
 	// Matching.

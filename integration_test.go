@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,9 +12,8 @@ import (
 )
 
 // TestDumpsToMatchingIntegration drives the on-disk pipeline end to end:
-// generate → write XML dumps to disk → reload through the streaming
-// parser → run WikiMatch — and checks the result is identical to the
-// in-memory run.
+// generate → write XML dumps to disk → ingest the directory → run
+// WikiMatch — and checks the result is identical to the in-memory run.
 func TestDumpsToMatchingIntegration(t *testing.T) {
 	corpus, _, err := GenerateCorpus(SmallCorpus())
 	if err != nil {
@@ -33,21 +33,14 @@ func TestDumpsToMatchingIntegration(t *testing.T) {
 		}
 	}
 
-	reloaded := NewCorpus()
-	for _, lang := range corpus.Languages() {
-		f, err := os.Open(filepath.Join(dir, string(lang)+".xml"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := LoadDump(reloaded, f, lang)
-		f.Close()
-		if err != nil {
-			t.Fatalf("LoadDump(%s): %v", lang, err)
-		}
-		if len(res.Errors) > 0 {
-			t.Fatalf("LoadDump(%s): %d errors, first: %v", lang, len(res.Errors), res.Errors[0])
-		}
+	res, err := IngestDir(context.Background(), dir, IngestOptions{})
+	if err != nil {
+		t.Fatalf("IngestDir: %v", err)
 	}
+	if tot := res.Totals(); tot.SkippedTotal() != 0 {
+		t.Fatalf("IngestDir skipped %d units: %v", tot.SkippedTotal(), tot.Skipped)
+	}
+	reloaded := res.Corpus
 
 	orig := Match(corpus, PtEn)
 	again := Match(reloaded, PtEn)
@@ -78,7 +71,7 @@ func TestCategoryTypingIntegration(t *testing.T) {
 	}
 	// Rebuild the corpus with article types blanked, as if the infobox
 	// templates had been unusable.
-	stripped := NewCorpus()
+	stripped := wiki.NewCorpus()
 	for _, lang := range corpus.Languages() {
 		for _, a := range corpus.Articles(lang) {
 			cp := a.Clone()

@@ -1,7 +1,8 @@
-// Package dump reads and writes MediaWiki-style XML dumps. It provides a
-// streaming page reader (so arbitrarily large dumps never need to fit in
-// memory), a matching writer, and corpus-level helpers that connect dump
-// files to the wiki.Corpus model by parsing each page's wikitext.
+// Package dump reads and writes MediaWiki-style XML dumps. Reader
+// streams pages out of a dump, so arbitrarily large dumps never need to
+// fit in memory; it is the XML decoder of internal/ingest, which turns
+// <lang>.xml files into a corpus and counts what it skips. Writer and
+// WriteCorpus render a corpus edition back into a dump.
 package dump
 
 import (
@@ -27,16 +28,12 @@ type Page struct {
 
 // Reader streams pages out of a MediaWiki XML dump.
 type Reader struct {
-	dec      *xml.Decoder
-	lang     wiki.Language
-	sawRoot  bool
-	exhaust  bool
-	pageSeq  int
-	LangHint wiki.Language // language from <siteinfo>, if present
+	dec     *xml.Decoder
+	exhaust bool
+	pageSeq int
 }
 
-// NewReader wraps r. The language recorded in the dump's <siteinfo> is
-// exposed through LangHint after the first Next call that passes it.
+// NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{dec: xml.NewDecoder(r)}
 }
@@ -54,10 +51,6 @@ type xmlPage struct {
 	} `xml:"revision"`
 }
 
-type xmlSiteinfo struct {
-	Lang string `xml:"lang"`
-}
-
 // Next returns the next page in the dump, or io.EOF when exhausted.
 func (r *Reader) Next() (Page, error) {
 	if r.exhaust {
@@ -73,40 +66,22 @@ func (r *Reader) Next() (Page, error) {
 			return Page{}, fmt.Errorf("dump: reading token: %w", err)
 		}
 		start, ok := tok.(xml.StartElement)
-		if !ok {
+		if !ok || start.Name.Local != "page" {
 			continue
 		}
-		switch start.Name.Local {
-		case "mediawiki":
-			r.sawRoot = true
-			for _, attr := range start.Attr {
-				if attr.Name.Local == "lang" {
-					r.LangHint = wiki.Language(attr.Value)
-				}
-			}
-		case "siteinfo":
-			var si xmlSiteinfo
-			if err := r.dec.DecodeElement(&si, &start); err != nil {
-				return Page{}, fmt.Errorf("dump: siteinfo: %w", err)
-			}
-			if si.Lang != "" {
-				r.LangHint = wiki.Language(si.Lang)
-			}
-		case "page":
-			var xp xmlPage
-			if err := r.dec.DecodeElement(&xp, &start); err != nil {
-				return Page{}, fmt.Errorf("dump: page: %w", err)
-			}
-			r.pageSeq++
-			p := Page{Title: xp.Title, NS: xp.NS, ID: xp.ID, Redirect: xp.Redirect.Title}
-			if p.ID == 0 {
-				p.ID = r.pageSeq
-			}
-			if len(xp.Revisions) > 0 {
-				p.Text = xp.Revisions[len(xp.Revisions)-1].Text
-			}
-			return p, nil
+		var xp xmlPage
+		if err := r.dec.DecodeElement(&xp, &start); err != nil {
+			return Page{}, fmt.Errorf("dump: page: %w", err)
 		}
+		r.pageSeq++
+		p := Page{Title: xp.Title, NS: xp.NS, ID: xp.ID, Redirect: xp.Redirect.Title}
+		if p.ID == 0 {
+			p.ID = r.pageSeq
+		}
+		if len(xp.Revisions) > 0 {
+			p.Text = xp.Revisions[len(xp.Revisions)-1].Text
+		}
+		return p, nil
 	}
 }
 
@@ -208,53 +183,4 @@ func WriteCorpus(w io.Writer, c *wiki.Corpus, lang wiki.Language) error {
 		}
 	}
 	return dw.Close()
-}
-
-// LoadResult reports what happened while loading a dump into a corpus.
-type LoadResult struct {
-	Pages     int
-	Skipped   int // non-article namespaces
-	Redirects int // <redirect/> pages (not loaded as articles)
-	Errors    []error
-}
-
-// LoadCorpus parses a dump for the given language into the corpus. Pages
-// whose wikitext fails to parse are recorded in the result's Errors and
-// skipped; redirect pages are counted and skipped (they describe no
-// entity of their own); structural XML errors abort. When lang is empty
-// the dump's own <siteinfo> language is used; a non-empty lang always
-// wins over the siteinfo hint.
-func LoadCorpus(c *wiki.Corpus, r io.Reader, lang wiki.Language) (LoadResult, error) {
-	var res LoadResult
-	dr := NewReader(r)
-	for {
-		p, err := dr.Next()
-		if err == io.EOF {
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		if p.NS != 0 {
-			res.Skipped++
-			continue
-		}
-		if p.Redirect != "" {
-			res.Redirects++
-			continue
-		}
-		res.Pages++
-		effLang := lang
-		if effLang == "" {
-			effLang = dr.LangHint
-		}
-		a, err := wiki.ParsePage(effLang, p.Title, p.Text)
-		if err != nil {
-			res.Errors = append(res.Errors, err)
-			continue
-		}
-		if err := c.Add(a); err != nil {
-			res.Errors = append(res.Errors, err)
-		}
-	}
 }

@@ -29,8 +29,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		t.Error("expected write-after-close error")
 	}
 
-	r := NewReader(&buf)
-	got, err := r.All()
+	got, err := NewReader(&buf).All()
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}
@@ -47,9 +46,6 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		if got[i].ID != i+1 {
 			t.Errorf("page %d id = %d", i, got[i].ID)
 		}
-	}
-	if r.LangHint != wiki.English {
-		t.Errorf("LangHint = %q", r.LangHint)
 	}
 }
 
@@ -105,12 +101,16 @@ func TestCorpusDumpRoundTrip(t *testing.T) {
 		if err := WriteCorpus(&buf, orig, lang); err != nil {
 			t.Fatalf("WriteCorpus(%s): %v", lang, err)
 		}
-		res, err := LoadCorpus(loaded, &buf, lang)
+		pages, err := NewReader(&buf).All()
 		if err != nil {
-			t.Fatalf("LoadCorpus(%s): %v", lang, err)
+			t.Fatalf("read %s: %v", lang, err)
 		}
-		if len(res.Errors) > 0 {
-			t.Fatalf("LoadCorpus(%s) page errors: %v", lang, res.Errors)
+		for _, p := range pages {
+			a, err := wiki.ParsePage(lang, p.Title, p.Text)
+			if err != nil {
+				t.Fatalf("ParsePage(%s, %q): %v", lang, p.Title, err)
+			}
+			loaded.MustAdd(a)
 		}
 	}
 	if loaded.Len() != 2 {
@@ -127,50 +127,5 @@ func TestCorpusDumpRoundTrip(t *testing.T) {
 	dir, ok := gotEn.Infobox.Get("directed by")
 	if !ok || len(dir.Links) != 1 {
 		t.Errorf("round-trip links = %+v", dir)
-	}
-}
-
-func TestLoadCorpusSkipsNonArticleNamespaces(t *testing.T) {
-	xmlDoc := `<mediawiki xml:lang="en"><siteinfo><lang>en</lang></siteinfo>
-<page><title>Talk:X</title><ns>1</ns><id>1</id><revision><id>1</id><text>talk</text></revision></page>
-<page><title>Real</title><ns>0</ns><id>2</id><revision><id>2</id><text>body</text></revision></page>
-</mediawiki>`
-	c := wiki.NewCorpus()
-	res, err := LoadCorpus(c, strings.NewReader(xmlDoc), wiki.English)
-	if err != nil {
-		t.Fatalf("LoadCorpus: %v", err)
-	}
-	if res.Skipped != 1 || res.Pages != 1 {
-		t.Errorf("result = %+v", res)
-	}
-	if c.Len() != 1 {
-		t.Errorf("corpus len = %d", c.Len())
-	}
-}
-
-func TestLoadCorpusUsesLangHint(t *testing.T) {
-	xmlDoc := `<mediawiki xml:lang="pt"><page><title>P</title><ns>0</ns><id>1</id><revision><id>1</id><text>t</text></revision></page></mediawiki>`
-	c := wiki.NewCorpus()
-	if _, err := LoadCorpus(c, strings.NewReader(xmlDoc), ""); err != nil {
-		t.Fatalf("LoadCorpus: %v", err)
-	}
-	if _, ok := c.Get(wiki.Portuguese, "P"); !ok {
-		t.Error("article not stored under hinted language")
-	}
-}
-
-func TestLoadCorpusRecordsPageErrors(t *testing.T) {
-	bad := "{{Infobox film\n| name = unclosed"
-	xmlDoc := `<mediawiki xml:lang="en"><page><title>Bad</title><ns>0</ns><id>1</id><revision><id>1</id><text>` + bad + `</text></revision></page></mediawiki>`
-	c := wiki.NewCorpus()
-	res, err := LoadCorpus(c, strings.NewReader(xmlDoc), wiki.English)
-	if err != nil {
-		t.Fatalf("LoadCorpus: %v", err)
-	}
-	if len(res.Errors) != 1 {
-		t.Errorf("errors = %v", res.Errors)
-	}
-	if c.Len() != 0 {
-		t.Errorf("bad page stored")
 	}
 }

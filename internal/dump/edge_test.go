@@ -108,73 +108,3 @@ func TestReaderRedirectPage(t *testing.T) {
 		t.Fatalf("regular page carries redirect %q", pages[1].Redirect)
 	}
 }
-
-func TestLoadCorpusSkipsRedirectsAndNamespaces(t *testing.T) {
-	doc := `<mediawiki xml:lang="en">
-<page><title>UK</title><ns>0</ns><id>1</id><redirect title="United Kingdom"/>
-<revision><text>#REDIRECT [[United Kingdom]]</text></revision></page>
-<page><title>Talk:United Kingdom</title><ns>1</ns><id>2</id><revision><text>chatter</text></revision></page>
-<page><title>Template:Infobox country</title><ns>10</ns><id>3</id><revision><text>{{doc}}</text></revision></page>
-<page><title>United Kingdom</title><ns>0</ns><id>4</id><revision><text>An article.</text></revision></page>
-<page><title>Empty</title><ns>0</ns><id>5</id></page>
-</mediawiki>`
-	c := wiki.NewCorpus()
-	res, err := LoadCorpus(c, strings.NewReader(doc), wiki.English)
-	if err != nil {
-		t.Fatalf("LoadCorpus: %v", err)
-	}
-	if res.Redirects != 1 {
-		t.Fatalf("redirects = %d, want 1", res.Redirects)
-	}
-	if res.Skipped != 2 {
-		t.Fatalf("skipped = %d, want 2", res.Skipped)
-	}
-	// The redirect and the namespaced pages never become articles; the
-	// zero-revision page still does (an article with no infobox).
-	if res.Pages != 2 || len(res.Errors) != 0 {
-		t.Fatalf("pages = %d errors = %v, want 2 pages, no errors", res.Pages, res.Errors)
-	}
-	if _, ok := c.Get(wiki.English, "UK"); ok {
-		t.Fatal("redirect page was loaded as an article")
-	}
-	if _, ok := c.Get(wiki.English, "Template:Infobox country"); ok {
-		t.Fatal("template page was loaded as an article")
-	}
-	for _, title := range []string{"United Kingdom", "Empty"} {
-		a, ok := c.Get(wiki.English, title)
-		if !ok {
-			t.Fatalf("article %q not loaded", title)
-		}
-		if a.Infobox != nil {
-			t.Fatalf("article %q unexpectedly has an infobox", title)
-		}
-	}
-}
-
-func TestLoadCorpusExplicitLanguageBeatsSiteinfo(t *testing.T) {
-	doc := `<mediawiki xml:lang="en"><siteinfo><sitename>Wikipedia</sitename><lang>en</lang></siteinfo>
-<page><title>Lisboa</title><ns>0</ns><id>1</id><revision><text>article text</text></revision></page>
-</mediawiki>`
-	// The dump claims to be English; the caller says Portuguese. The
-	// flag-supplied language wins.
-	c := wiki.NewCorpus()
-	if _, err := LoadCorpus(c, strings.NewReader(doc), wiki.Portuguese); err != nil {
-		t.Fatalf("LoadCorpus: %v", err)
-	}
-	a, ok := c.Get(wiki.Portuguese, "Lisboa")
-	if !ok || a.Language != wiki.Portuguese {
-		t.Fatalf("article not loaded under pt: ok=%v a=%+v", ok, a)
-	}
-	if langs := c.Languages(); len(langs) != 1 || langs[0] != wiki.Portuguese {
-		t.Fatalf("languages = %v, want [pt]", langs)
-	}
-
-	// With no caller language, the siteinfo hint is used.
-	c2 := wiki.NewCorpus()
-	if _, err := LoadCorpus(c2, strings.NewReader(doc), ""); err != nil {
-		t.Fatalf("LoadCorpus: %v", err)
-	}
-	if _, ok := c2.Get(wiki.English, "Lisboa"); !ok {
-		t.Fatal("siteinfo language was not used as the fallback")
-	}
-}

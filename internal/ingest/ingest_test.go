@@ -101,6 +101,96 @@ func TestXMLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGeneratedCorpusSurvivesDumpRoundTrip is the XML half of
+// ingest(write(c)) == c: the paper corpus, generated at three seeds and
+// written as one <lang>.xml file per edition, ingests back through Dir
+// to the generated corpus's fingerprint with nothing skipped.
+func TestGeneratedCorpusSurvivesDumpRoundTrip(t *testing.T) {
+	base := synth.SmallConfig()
+	for _, seed := range []int64{base.Seed, base.Seed + 1, 7919} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := base
+			cfg.Seed = seed
+			c, _, err := synth.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			for _, l := range c.Languages() {
+				f, err := os.Create(filepath.Join(dir, string(l)+".xml"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dump.WriteCorpus(f, c, l); err != nil {
+					t.Fatalf("WriteCorpus(%s): %v", l, err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := Dir(context.Background(), dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Corpus.Fingerprint(), c.Fingerprint(); got != want {
+				diffCorpora(t, c, res.Corpus)
+				t.Fatalf("XML round trip fingerprint %x != generated %x", got, want)
+			}
+			if tot := res.Totals(); tot.SkippedTotal() != 0 {
+				t.Fatalf("round trip skipped %d units: %v", tot.SkippedTotal(), tot.Skipped)
+			}
+		})
+	}
+}
+
+// TestXMLSkipReasons: pages outside the article namespace, redirects and
+// pages whose wikitext does not parse become no article, each counted
+// under its own skip reason; everything else, a page without revisions
+// included, becomes an article.
+func TestXMLSkipReasons(t *testing.T) {
+	page := func(title string, ns int, body string) string {
+		return fmt.Sprintf("<page><title>%s</title><ns>%d</ns>%s</page>\n", title, ns, body)
+	}
+	text := func(s string) string { return "<revision><text>" + s + "</text></revision>" }
+	for _, c := range []struct {
+		name     string
+		pages    string
+		skipped  map[string]int
+		articles []string
+	}{
+		{"namespace", page("Talk:United Kingdom", 1, text("chatter")) +
+			page("Template:Infobox country", 10, text("{{doc}}")) +
+			page("United Kingdom", 0, text("An article.")),
+			map[string]int{SkipNamespace: 2}, []string{"United Kingdom"}},
+		{"redirect", page("UK", 0, `<redirect title="United Kingdom"/>`+text("#REDIRECT [[United Kingdom]]")) +
+			page("United Kingdom", 0, text("An article.")),
+			map[string]int{SkipRedirect: 1}, []string{"United Kingdom"}},
+		{"page error", page("Bad", 0, text("{{Infobox film\n| name = unclosed")) +
+			page("Empty", 0, ""),
+			map[string]int{SkipPageError: 1}, []string{"Empty"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			doc := `<mediawiki xml:lang="en"><siteinfo><lang>en</lang></siteinfo>` + "\n" + c.pages + "</mediawiki>"
+			res, err := Run(context.Background(),
+				[]Source{{Lang: "en", Format: FormatXML, Reader: strings.NewReader(doc)}}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.PerLang["en"]
+			if fmt.Sprint(s.Skipped) != fmt.Sprint(c.skipped) {
+				t.Errorf("skipped = %v, want %v", s.Skipped, c.skipped)
+			}
+			var got []string
+			for _, a := range res.Corpus.Articles("en") {
+				got = append(got, a.Title)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(c.articles) {
+				t.Errorf("articles = %q, want %q", got, c.articles)
+			}
+		})
+	}
+}
+
 // diffCorpora reports the first divergence between two corpora, to make
 // fingerprint mismatches debuggable.
 func diffCorpora(t *testing.T, want, got *wiki.Corpus) {

@@ -71,7 +71,7 @@ func WithClientOptions(opts ...client.Option) Option {
 
 // WithHandlerOptions passes middleware-stack options to the router's
 // own HTTP surface (Handler is the same service.NewHandler a replica
-// runs), stream write timeouts included.
+// runs).
 func WithHandlerOptions(opts ...service.HandlerOption) Option {
 	return func(rt *Router) { rt.handlerOpts = append(rt.handlerOpts, opts...) }
 }

@@ -246,28 +246,29 @@ func (st *serverState) handleStream(w http.ResponseWriter, r *http.Request) {
 	st.streamNDJSON(w, cancel, lines, err)
 }
 
+// streamWriteTimeout bounds each NDJSON line write, so a stalled reader
+// frees the stream's resources instead of pinning them.
+const streamWriteTimeout = time.Minute
+
 // streamNDJSON writes a backend's line stream as NDJSON, or its error
 // as the envelope, with the slow-reader guard applied: each line's
-// write runs under a fresh deadline of the stack's StreamWriteTimeout
-// (negative disables the guard) — armed immediately before the write,
-// so slow matching between lines never counts against it — and a failed
-// write cancels the producer and drains it so no goroutine or buffer
-// outlives the dead connection. Writers without deadline support
-// (httptest recorders) just skip the guard.
+// write runs under a fresh streamWriteTimeout deadline — armed
+// immediately before the write, so slow matching between lines never
+// counts against it — and a failed write cancels the producer and
+// drains it so no goroutine or buffer outlives the dead connection.
+// Writers without deadline support (httptest recorders) just skip the
+// guard.
 func (st *serverState) streamNDJSON(w http.ResponseWriter, cancel context.CancelFunc, lines <-chan protocol.StreamLine, err error) {
 	if err != nil {
 		writeEnvelope(w, protocol.FromErr(err))
 		return
 	}
-	writeTimeout := st.cfg.StreamWriteTimeout
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	for line := range lines {
-		if writeTimeout > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
+		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		if err := enc.Encode(line); err != nil {
 			cancel()
 			for range lines {
@@ -278,9 +279,7 @@ func (st *serverState) streamNDJSON(w http.ResponseWriter, cancel context.Cancel
 	}
 	// Disarm so a keep-alive connection is not poisoned by a stale
 	// deadline.
-	if writeTimeout > 0 {
-		_ = rc.SetWriteDeadline(time.Time{})
-	}
+	_ = rc.SetWriteDeadline(time.Time{})
 }
 
 // gatePair enforces the shard-ownership gate on a decoded matching

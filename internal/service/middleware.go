@@ -38,10 +38,6 @@ type HandlerConfig struct {
 	// MaxBodyBytes caps request body size; larger bodies get a 413
 	// envelope. 0 means the 1 MiB default.
 	MaxBodyBytes int64
-	// StreamWriteTimeout bounds each NDJSON line write, so a stalled
-	// reader frees the stream's resources instead of pinning them. 0
-	// means the 1 minute default; negative disables the deadline.
-	StreamWriteTimeout time.Duration
 	// Logger receives one access-log line per request when non-nil.
 	Logger *log.Logger
 	// PairOwned, when non-nil, marks this replica as one shard of a
@@ -58,11 +54,10 @@ type HandlerConfig struct {
 // DefaultHandlerConfig is the production default stack configuration.
 func DefaultHandlerConfig() HandlerConfig {
 	return HandlerConfig{
-		MaxConcurrent:      64,
-		MaxStreams:         16,
-		RequestTimeout:     5 * time.Minute,
-		MaxBodyBytes:       1 << 20,
-		StreamWriteTimeout: time.Minute,
+		MaxConcurrent:  64,
+		MaxStreams:     16,
+		RequestTimeout: 5 * time.Minute,
+		MaxBodyBytes:   1 << 20,
 	}
 }
 
@@ -74,9 +69,6 @@ func newHandlerConfig(opts []HandlerOption) HandlerConfig {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.StreamWriteTimeout == 0 {
-		c.StreamWriteTimeout = time.Minute
 	}
 	return c
 }
@@ -102,12 +94,6 @@ func WithRequestTimeout(d time.Duration) HandlerOption {
 // WithMaxBodyBytes caps request body size.
 func WithMaxBodyBytes(n int64) HandlerOption {
 	return func(c *HandlerConfig) { c.MaxBodyBytes = n }
-}
-
-// WithStreamWriteTimeout bounds each NDJSON line write (negative =
-// no deadline).
-func WithStreamWriteTimeout(d time.Duration) HandlerOption {
-	return func(c *HandlerConfig) { c.StreamWriteTimeout = d }
 }
 
 // WithAccessLog enables per-request access logging.

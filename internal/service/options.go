@@ -23,25 +23,3 @@ func WithTSim(v float64) Option {
 func WithTLSI(v float64) Option {
 	return func(c *core.Config) { c.TLSI = v }
 }
-
-// WithTEg sets the inductive-grouping threshold of ReviseUncertain.
-func WithTEg(v float64) Option {
-	return func(c *core.Config) { c.TEg = v }
-}
-
-// WithLSIRank sets the number of latent dimensions (the paper's f).
-func WithLSIRank(rank int) Option {
-	return func(c *core.Config) { c.LSIRank = rank }
-}
-
-// WithSeed sets the seed driving the RandomOrder ablation shuffle.
-func WithSeed(seed int64) Option {
-	return func(c *core.Config) { c.Seed = seed }
-}
-
-// WithoutDictionary disables dictionary translation inside vsim (the
-// paper's extra ablation); the session then skips building per-pair
-// dictionaries entirely.
-func WithoutDictionary() Option {
-	return func(c *core.Config) { c.NoDictionary = true }
-}

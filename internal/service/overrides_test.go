@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/wiki"
 )
@@ -41,13 +42,15 @@ func TestServeMatchScoringOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	misses := s.CacheStats().Misses
+	tsimTEg := core.DefaultConfig()
+	tsimTEg.TSim, tsimTEg.TEg = 0.5, 0.2
 	for _, tc := range []struct {
 		req  protocol.MatchRequest
 		opts []Option
 	}{
 		{protocol.MatchRequest{Pair: "pt-en", TSim: f64p(0.8)}, []Option{WithTSim(0.8)}},
 		{protocol.MatchRequest{Pair: "pt-en", TLSI: f64p(0.3)}, []Option{WithTLSI(0.3)}},
-		{protocol.MatchRequest{Pair: "pt-en", TSim: f64p(0.5), TEg: f64p(0.2)}, []Option{WithTSim(0.5), WithTEg(0.2)}},
+		{protocol.MatchRequest{Pair: "pt-en", TSim: f64p(0.5), TEg: f64p(0.2)}, []Option{WithConfig(tsimTEg)}},
 	} {
 		got, err := s.ServeMatch(ctx, tc.req)
 		if err != nil {
@@ -70,11 +73,11 @@ func TestServeMatchScoringOverrides(t *testing.T) {
 // matcher configuration and leave the artifact-shaping fields alone.
 func TestSessionScoringOptions(t *testing.T) {
 	base := New(smallCorpus(t)).Config()
-	cfg := New(smallCorpus(t), WithTSim(0.7), WithTLSI(0.2), WithTEg(0.3)).Config()
-	if cfg.TSim != 0.7 || cfg.TLSI != 0.2 || cfg.TEg != 0.3 {
+	cfg := New(smallCorpus(t), WithTSim(0.7), WithTLSI(0.2)).Config()
+	if cfg.TSim != 0.7 || cfg.TLSI != 0.2 {
 		t.Errorf("options not applied: %+v", cfg)
 	}
-	cfg.TSim, cfg.TLSI, cfg.TEg = base.TSim, base.TLSI, base.TEg
+	cfg.TSim, cfg.TLSI = base.TSim, base.TLSI
 	if cfg != base {
 		t.Errorf("threshold options changed other fields: %+v, want %+v", cfg, base)
 	}

@@ -157,14 +157,14 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exactSVD := core.DefaultConfig()
-	exactSVD.ExactSVD = true
-	for name, opt := range map[string]Option{
-		"LSIRank":      WithLSIRank(20),
-		"NoDictionary": WithoutDictionary(),
-		"ExactSVD":     WithConfig(exactSVD),
+	for name, shape := range map[string]func(*core.Config){
+		"LSIRank":      func(cfg *core.Config) { cfg.LSIRank = 20 },
+		"NoDictionary": func(cfg *core.Config) { cfg.NoDictionary = true },
+		"ExactSVD":     func(cfg *core.Config) { cfg.ExactSVD = true },
 	} {
-		_, err := Restore(c, bytes.NewReader(buf.Bytes()), opt)
+		cfg := core.DefaultConfig()
+		shape(&cfg)
+		_, err := Restore(c, bytes.NewReader(buf.Bytes()), WithConfig(cfg))
 		var cm *store.ConfigMismatchError
 		if !errors.As(err, &cm) {
 			t.Errorf("%s: got %v, want ConfigMismatchError", name, err)

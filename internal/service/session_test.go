@@ -358,23 +358,17 @@ func TestMatchStreamAbandoned(t *testing.T) {
 	}
 }
 
-// TestSessionOptions checks functional options reach the matcher config.
+// TestSessionOptions checks functional options reach the matcher config
+// in order: WithConfig replaces everything set before it, and later
+// options win.
 func TestSessionOptions(t *testing.T) {
-	s := New(smallCorpus(t),
-		WithTSim(0.7), WithTLSI(0.2), WithTEg(0.3), WithLSIRank(5),
-		WithSeed(42))
-	cfg := s.Config()
-	if cfg.TSim != 0.7 || cfg.TLSI != 0.2 || cfg.TEg != 0.3 ||
-		cfg.LSIRank != 5 || cfg.Seed != 42 {
-		t.Errorf("options not applied: %+v", cfg)
-	}
-	base := core.DefaultConfig()
-	base.DisableRevise = true
-	if got := New(smallCorpus(t), WithConfig(base)).Config(); got != base {
-		t.Errorf("WithConfig: %+v, want %+v", got, base)
-	}
-	if !New(smallCorpus(t), WithoutDictionary()).Config().NoDictionary {
-		t.Error("WithoutDictionary not applied")
+	want := core.DefaultConfig()
+	want.TEg, want.LSIRank, want.Seed = 0.3, 5, 42
+	want.DisableRevise, want.NoDictionary = true, true
+	cfg := New(smallCorpus(t), WithTSim(0.9), WithConfig(want), WithTSim(0.7), WithTLSI(0.2)).Config()
+	want.TSim, want.TLSI = 0.7, 0.2
+	if cfg != want {
+		t.Errorf("options not applied: %+v, want %+v", cfg, want)
 	}
 }
 
@@ -383,7 +377,9 @@ func TestSessionOptions(t *testing.T) {
 // NoDictionary run.
 func TestSessionNoDictionary(t *testing.T) {
 	c := smallCorpus(t)
-	s := New(c, WithoutDictionary())
+	noDict := core.DefaultConfig()
+	noDict.NoDictionary = true
+	s := New(c, WithConfig(noDict))
 	ctx := context.Background()
 	res, err := s.Match(ctx, wiki.PtEn)
 	if err != nil {

@@ -1,10 +1,8 @@
 package synth
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/dump"
 	"repro/internal/text"
 	"repro/internal/wiki"
 )
@@ -349,44 +347,6 @@ func TestEnglishCoverageExceedsOtherLanguages(t *testing.T) {
 	enBoxes, ptBoxes, vnBoxes = count(wiki.English), count(wiki.Portuguese), count(wiki.Vietnamese)
 	if enBoxes <= ptBoxes+vnBoxes {
 		t.Errorf("en coverage (%d) should exceed pt (%d) + vn (%d)", enBoxes, ptBoxes, vnBoxes)
-	}
-}
-
-func TestGeneratedCorpusSurvivesDumpRoundTrip(t *testing.T) {
-	c, _ := genSmall(t)
-	reloaded := wiki.NewCorpus()
-	for _, lang := range c.Languages() {
-		var buf bytes.Buffer
-		if err := dump.WriteCorpus(&buf, c, lang); err != nil {
-			t.Fatalf("WriteCorpus(%s): %v", lang, err)
-		}
-		res, err := dump.LoadCorpus(reloaded, &buf, lang)
-		if err != nil {
-			t.Fatalf("LoadCorpus(%s): %v", lang, err)
-		}
-		if len(res.Errors) > 0 {
-			t.Fatalf("LoadCorpus(%s): %d page errors, first: %v", lang, len(res.Errors), res.Errors[0])
-		}
-	}
-	if reloaded.Len() != c.Len() {
-		t.Fatalf("reloaded %d articles, want %d", reloaded.Len(), c.Len())
-	}
-	if got, want := len(reloaded.Pairs(wiki.PtEn)), len(c.Pairs(wiki.PtEn)); got != want {
-		t.Errorf("reloaded pt-en pairs = %d, want %d", got, want)
-	}
-	// Attribute schemas survive byte-level round-trip.
-	for _, orig := range c.Articles(wiki.Portuguese) {
-		if orig.Infobox == nil {
-			continue
-		}
-		got, ok := reloaded.Get(wiki.Portuguese, orig.Title)
-		if !ok || got.Infobox == nil {
-			t.Fatalf("article %q lost in round-trip", orig.Title)
-		}
-		if got.Infobox.Len() != orig.Infobox.Len() {
-			t.Fatalf("article %q: %d attrs after round-trip, want %d",
-				orig.Title, got.Infobox.Len(), orig.Infobox.Len())
-		}
 	}
 }
 

@@ -85,9 +85,6 @@ var (
 	VnEn       = wiki.VnEn
 )
 
-// NewCorpus returns an empty corpus.
-func NewCorpus() *Corpus { return wiki.NewCorpus() }
-
 // SmallCorpus is a fast synthetic-corpus configuration for tests and
 // demos.
 func SmallCorpus() synth.Config { return synth.SmallConfig() }
@@ -137,12 +134,6 @@ func WritePropertiesDump(w io.Writer, c *Corpus, lang wiki.Language) error {
 // DBpedia interlanguage-links N-Triples dump (owl:sameAs).
 func WriteLinksDump(w io.Writer, c *Corpus, lang wiki.Language) error {
 	return ingest.WriteLinks(w, c, lang)
-}
-
-// LoadDump parses a MediaWiki XML dump into the corpus; lang overrides
-// the dump's own language hint when non-empty.
-func LoadDump(c *Corpus, r io.Reader, lang wiki.Language) (dump.LoadResult, error) {
-	return dump.LoadCorpus(c, r, lang)
 }
 
 // WriteDump renders one language edition as a MediaWiki XML dump.
