@@ -64,7 +64,6 @@
 //
 //	wikimatch precompute -store artifacts.wmsnap
 //	          [-pairs pt-en,vi-en] [-scale small|full] [-dumps dir]
-//	          [-tsim 0.6] [-tlsi 0.1]
 package main
 
 import (
@@ -74,7 +73,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -142,11 +140,19 @@ func matchCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	stats := corpus.Stats()
-	fmt.Fprintf(stdout, "corpus: %v articles, %v infoboxes, %v cross pairs\n\n",
-		stats.Articles, stats.Infoboxes, stats.CrossPairs)
-
 	ctx := context.Background()
+	stats, err := backend.Stats(ctx)
+	if err != nil {
+		fmt.Fprintln(stderr, "match:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "corpus: %v articles, %v infoboxes, %v cross pairs\n\n",
+		stats.Corpus.Articles, stats.Corpus.Infoboxes, stats.Corpus.CrossPairs)
+	if truth != nil && !servesCorpus(stats, corpus) {
+		fmt.Fprintf(stdout, "%s\n\n", evalSkipped)
+		truth = nil
+	}
+
 	if *stream {
 		lines, err := backend.Stream(ctx, req)
 		if err != nil {
@@ -326,7 +332,8 @@ func printIngestReport(w io.Writer, res *ingest.Result, dryRun bool) {
 // requested language pair — by default the pivot plan's pairs, the
 // pairs matchall matches in pivot mode — and writes the whole artifact
 // cache as one snapshot that wikimatchd -store (or
-// repro.RestoreSessionFromFile) loads in milliseconds.
+// repro.RestoreSessionFromFile) loads in milliseconds. No artifact
+// depends on the thresholds, so they are set where the snapshot is served.
 func precompute(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wikimatch precompute", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -334,8 +341,6 @@ func precompute(args []string, stdout, stderr io.Writer) int {
 	pairsFlag := fs.String("pairs", "", "comma-separated language pairs to precompute (default: every edition paired with the pivot hub, English if present)")
 	scale := scaleFlag(fs)
 	dumpsDir := fs.String("dumps", "", "directory with dumps to ingest (DBpedia <lang>-*.ttl[.gz|.bz2], MediaWiki <lang>.xml) instead of generating")
-	tsim := fs.Float64("tsim", 0.6, "certain-match threshold Tsim")
-	tlsi := fs.Float64("tlsi", 0.1, "correlation threshold TLSI")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -362,7 +367,7 @@ func precompute(args []string, stdout, stderr io.Writer) int {
 		langs := corpus.Languages()
 		pairs = wiki.HubPairs(langs, multi.DefaultHub(langs))
 	}
-	session := repro.NewSession(corpus, repro.WithTSim(*tsim), repro.WithTLSI(*tlsi))
+	session := repro.NewSession(corpus)
 	ctx := context.Background()
 	for _, pair := range pairs {
 		start := time.Now()
@@ -460,8 +465,8 @@ func matchallCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	switch {
 	case truth == nil:
-	case !reflect.DeepEqual(served, corpus.Stats()):
-		fmt.Fprintln(stdout, "\ngold evaluation skipped: the daemon serves a different corpus")
+	case !servesCorpus(served, corpus):
+		fmt.Fprintf(stdout, "\n%s\n", evalSkipped)
 	default:
 		if err := evalBatch(stdout, corpus, truth, batch); err != nil {
 			fmt.Fprintln(stderr, "matchall:", err)
@@ -562,14 +567,24 @@ func auditCmd(args []string, stdout, stderr io.Writer) int {
 
 // printLanguages prints the language set of the corpus the backend
 // serves — the daemon's with -remote, the local session's otherwise —
-// and returns that corpus's statistics.
-func printLanguages(ctx context.Context, w io.Writer, backend repro.Backend) (wiki.Stats, error) {
+// and returns the backend's /v1/corpus answer.
+func printLanguages(ctx context.Context, w io.Writer, backend repro.Backend) (*protocol.StatsResponse, error) {
 	stats, err := backend.Stats(ctx)
 	if err != nil {
-		return wiki.Stats{}, err
+		return nil, err
 	}
 	fmt.Fprintf(w, "corpus languages: %v\n", stats.Corpus.Languages)
-	return stats.Corpus, nil
+	return stats, nil
+}
+
+// evalSkipped replaces the gold evaluation when the backend serves
+// another corpus than the local one the ground truth describes.
+const evalSkipped = "gold evaluation skipped: the daemon serves a different corpus"
+
+// servesCorpus reports, by fingerprint, whether the backend serves the
+// local corpus, the one the local ground truth describes.
+func servesCorpus(stats *protocol.StatsResponse, corpus *wiki.Corpus) bool {
+	return stats.Fingerprint == protocol.FormatFingerprint(corpus.Fingerprint())
 }
 
 // printProgress prints a batch stream's per-pair progress line: the

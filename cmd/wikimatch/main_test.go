@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -162,10 +163,10 @@ func TestStreamTypeRejected(t *testing.T) {
 	}
 }
 
-// TestRemoteLanguagesFromDaemon: with -remote, matchall and audit name
-// the languages of the corpus the daemon serves, not of the corpus the
-// CLI would generate locally, and matchall does not score the daemon's
-// batch against the local corpus's gold data.
+// TestRemoteLanguagesFromDaemon: with -remote, match, matchall and
+// audit describe the corpus the daemon serves, not the corpus the CLI
+// would generate locally, and match and matchall do not score the
+// daemon's answers against the local corpus's gold data.
 func TestRemoteLanguagesFromDaemon(t *testing.T) {
 	cfg := repro.DefaultEditionsCorpus()
 	cfg.Languages = []wiki.Language{"de", "en", "fr"}
@@ -177,22 +178,34 @@ func TestRemoteLanguagesFromDaemon(t *testing.T) {
 	srv := httptest.NewServer(repro.NewHTTPHandler(repro.NewSession(corpus)))
 	t.Cleanup(srv.Close)
 
-	want := "corpus languages: [de en fr]\n"
-	skipped := "\ngold evaluation skipped: the daemon serves a different corpus\n"
-	for name, cmd := range map[string]func([]string, io.Writer, io.Writer) int{
-		"matchall": matchallCmd,
-		"audit":    auditCmd,
+	languages := "corpus languages: [de en fr]\n"
+	skipped := "gold evaluation skipped: the daemon serves a different corpus\n"
+	batchArgs := []string{"-remote", srv.URL, "-timings=false", "-workers", "1"}
+	for _, tc := range []struct {
+		name  string
+		cmd   func([]string, io.Writer, io.Writer) int
+		args  []string
+		check func(out string) bool
+	}{
+		{"matchall", matchallCmd, batchArgs, func(out string) bool {
+			return strings.HasPrefix(out, languages) && strings.HasSuffix(out, "\n"+skipped)
+		}},
+		{"audit", auditCmd, batchArgs, func(out string) bool {
+			return strings.HasPrefix(out, languages)
+		}},
+		{"match", matchCmd, []string{"-remote", srv.URL, "-pair", "de-en"}, func(out string) bool {
+			served := fmt.Sprintf("corpus: %v articles", corpus.Stats().Articles)
+			return strings.HasPrefix(out, served) && strings.Contains(out, "\n\n"+skipped) &&
+				!strings.Contains(out, "weighted P=")
+		}},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			var out, errBuf bytes.Buffer
-			if code := cmd([]string{"-remote", srv.URL, "-timings=false", "-workers", "1"}, &out, &errBuf); code != 0 {
+			if code := tc.cmd(tc.args, &out, &errBuf); code != 0 {
 				t.Fatalf("exited %d\nstderr: %s", code, errBuf.String())
 			}
-			if !strings.HasPrefix(out.String(), want) {
-				t.Errorf("output does not open with %q:\n%s", want, out.String())
-			}
-			if name == "matchall" && !strings.HasSuffix(out.String(), skipped) {
-				t.Errorf("output does not close with %q:\n%s", skipped, out.String())
+			if !tc.check(out.String()) {
+				t.Errorf("output does not describe the daemon's corpus or scores it against local gold data:\n%s", out.String())
 			}
 		})
 	}

@@ -57,7 +57,7 @@
 //	POST /v1/stream       NDJSON progress stream (pair or all-pairs)
 //	POST /v1/audit        cross-edition value audit: ranked findings
 //	POST /v1/audit/stream NDJSON audit: pair progress, then findings
-//	GET  /v1/corpus       corpus, cache and config snapshot
+//	GET  /v1/corpus       corpus, fingerprint, cache and parameters
 //	POST /v1/corpus/delta apply article upserts/removes to the live corpus
 //	POST /v1/invalidate   drop cached artifacts ({"lang":"pt"})
 //	GET  /v1/healthz      liveness: uptime, snapshot age, cache stats

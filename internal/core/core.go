@@ -19,18 +19,33 @@ import (
 	"repro/internal/wiki"
 )
 
-// Config holds WikiMatch's thresholds and the ablation switches.
-type Config struct {
+// Params are WikiMatch's served parameters: the paper runs one setting
+// of them for every language pair, "without any special tuning per
+// language or type". Of the four, only LSIRank shapes cached artifacts;
+// the thresholds act at match time.
+type Params struct {
 	// TSim is the high-confidence threshold on max(vsim, lsim) that
 	// separates certain from uncertain candidates (paper: 0.6).
-	TSim float64
+	TSim float64 `json:"tsim"`
 	// TLSI is the low correlation threshold candidates must exceed to
 	// enter the priority queue and that gates IntegrateMatches (paper: 0.1).
-	TLSI float64
+	TLSI float64 `json:"tlsi"`
 	// TEg is the inductive-grouping threshold of ReviseUncertain.
-	TEg float64
+	TEg float64 `json:"teg"`
 	// LSIRank is the number of latent dimensions (the paper's f).
-	LSIRank int
+	LSIRank int `json:"lsiRank"`
+}
+
+// DefaultParams returns the parameters used throughout the paper's
+// evaluation: Tsim = 0.6, TLSI = 0.1 and the default LSI rank.
+func DefaultParams() Params {
+	return Params{TSim: 0.6, TLSI: 0.1, TEg: 0.1, LSIRank: lsi.DefaultRank}
+}
+
+// Config holds WikiMatch's parameters and the ablation switches the
+// offline experiments (Table 3) and the equivalence tests set.
+type Config struct {
+	Params
 
 	// Ablation switches (Table 3 / Figure 3 configurations).
 	DisableVSim      bool // WikiMatch−vsim
@@ -69,12 +84,8 @@ type Config struct {
 	ExactScore bool
 }
 
-// DefaultConfig returns the configuration used throughout the paper's
-// evaluation: Tsim = 0.6, TLSI = 0.1, without any special tuning per
-// language or type.
-func DefaultConfig() Config {
-	return Config{TSim: 0.6, TLSI: 0.1, TEg: 0.1, LSIRank: lsi.DefaultRank}
-}
+// DefaultConfig returns DefaultParams with every ablation switch off.
+func DefaultConfig() Config { return Config{Params: DefaultParams()} }
 
 // Matcher runs WikiMatch over a corpus.
 type Matcher struct {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/synth"
@@ -127,6 +130,40 @@ func TestSingleStepProducesMoreMatches(t *testing.T) {
 	if countCross(single) <= countCross(normal) {
 		t.Errorf("single step should derive more (noisier) correspondences: %d vs %d",
 			countCross(single), countCross(normal))
+	}
+}
+
+// TestMatchCtxNoDictionary checks the NoDictionary ablation of the
+// cold reference: MatchCtx builds no dictionary, and vsim over
+// untranslated values changes the alignments.
+func TestMatchCtxNoDictionary(t *testing.T) {
+	c, _ := corpus(t)
+	ctx := context.Background()
+	full, err := NewMatcher(DefaultConfig()).MatchCtx(ctx, c, wiki.PtEn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.NoDictionary = true
+	noDict, err := NewMatcher(cfg).MatchCtx(ctx, c, wiki.PtEn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Dict == nil {
+		t.Error("full run built no dictionary")
+	}
+	if noDict.Dict != nil {
+		t.Error("NoDictionary run built a dictionary")
+	}
+	alignments := func(r *Result) string {
+		var b strings.Builder
+		for _, tp := range r.Types {
+			fmt.Fprintln(&b, tp, r.PerType[tp].CrossPairsSorted())
+		}
+		return b.String()
+	}
+	if alignments(noDict) == alignments(full) {
+		t.Error("NoDictionary run aligned exactly like the full run")
 	}
 }
 

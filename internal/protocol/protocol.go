@@ -82,20 +82,20 @@ func (o Overrides) Empty() bool {
 	return o.TSim == nil && o.TLSI == nil && o.TEg == nil
 }
 
-// Apply returns cfg with the overrides applied. Only matching
-// thresholds can be overridden, so the artifact-shaping fields
-// (dictionary use, LSI rank, SVD path) are untouched by construction.
-func (o Overrides) Apply(cfg core.Config) core.Config {
+// Apply returns p with the overrides applied. Only the thresholds can be
+// overridden, so the LSI rank, the one artifact-shaping parameter, is
+// untouched by construction.
+func (o Overrides) Apply(p core.Params) core.Params {
 	if o.TSim != nil {
-		cfg.TSim = *o.TSim
+		p.TSim = *o.TSim
 	}
 	if o.TLSI != nil {
-		cfg.TLSI = *o.TLSI
+		p.TLSI = *o.TLSI
 	}
 	if o.TEg != nil {
-		cfg.TEg = *o.TEg
+		p.TEg = *o.TEg
 	}
-	return cfg
+	return p
 }
 
 // Validate checks the request and resolves it into typed fields. Every

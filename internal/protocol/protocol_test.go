@@ -88,13 +88,13 @@ func TestValidate(t *testing.T) {
 			name: "threshold overrides pass through",
 			req:  MatchRequest{TSim: f64(0.8), TLSI: f64(0.2), TEg: f64(0.3)},
 			check: func(t *testing.T, r Resolved) {
-				cfg := r.Overrides.Apply(core.DefaultConfig())
-				if cfg.TSim != 0.8 || cfg.TLSI != 0.2 || cfg.TEg != 0.3 {
-					t.Errorf("applied config = %+v", cfg)
+				p := r.Overrides.Apply(core.DefaultParams())
+				if p.TSim != 0.8 || p.TLSI != 0.2 || p.TEg != 0.3 {
+					t.Errorf("applied params = %+v", p)
 				}
-				// Artifact-shaping fields must be untouched.
-				if cfg.LSIRank != core.DefaultConfig().LSIRank || cfg.NoDictionary || cfg.ExactSVD {
-					t.Errorf("override leaked into artifact-shaping config: %+v", cfg)
+				// The artifact-shaping LSI rank must be untouched.
+				if p.LSIRank != core.DefaultParams().LSIRank {
+					t.Errorf("override leaked into the LSI rank: %+v", p)
 				}
 			},
 		},
@@ -146,9 +146,9 @@ func TestOverridesEmpty(t *testing.T) {
 			t.Errorf("set Overrides %+v reported Empty", o)
 		}
 	}
-	cfg := core.DefaultConfig()
-	if got := (Overrides{}).Apply(cfg); got != cfg {
-		t.Errorf("empty Apply changed config: %+v", got)
+	p := core.DefaultParams()
+	if got := (Overrides{}).Apply(p); got != p {
+		t.Errorf("empty Apply changed params: %+v", got)
 	}
 }
 

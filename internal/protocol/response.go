@@ -175,10 +175,15 @@ type StreamLine struct {
 
 // StatsResponse is the body of GET /v1/corpus.
 type StatsResponse struct {
-	Corpus wiki.Stats  `json:"corpus"`
-	Cache  CacheStats  `json:"cache"`
-	Config core.Config `json:"config"`
+	Corpus      wiki.Stats  `json:"corpus"`
+	Fingerprint string      `json:"fingerprint"` // the corpus's identity, in FormatFingerprint's form
+	Cache       CacheStats  `json:"cache"`
+	Config      core.Params `json:"config"`
 }
+
+// FormatFingerprint renders a corpus fingerprint as the wire carries it
+// in StatsResponse and DeltaResponse: 16 lowercase hex digits.
+func FormatFingerprint(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
 // InvalidateRequest asks the session to drop cached artifacts for one
 // language (empty: drop everything).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -17,16 +16,15 @@ import (
 // the single binary's own code, and the fleet supplies only what it
 // does differently. The router holds no corpus, but every shard holds
 // the full one — only artifacts are sharded — so the language set comes
-// from any shard's corpus stats, each planned pair is one /v1/match on
-// its owning shard's warm cache, and the value comparison of the merged
-// clusters runs on one shard, as an ordinary AuditRequest with Clusters
-// set.
+// from the corpus stats the shards agree on, each planned pair is one
+// /v1/match on its owning shard's warm cache, and the value comparison
+// of the merged clusters runs on one shard, as an ordinary AuditRequest
+// with Clusters set.
 type fleetBatch struct{ rt *Router }
 
-// Languages implements service.BatchSource: the corpus language set,
-// discovered from the first shard that answers its stats and cached
-// until a delta lands. Every shard serves the full corpus, so any
-// answer is authoritative.
+// Languages implements service.BatchSource: the language set of the
+// corpus the answering shards agree on (ServeCorpus), cached until a
+// delta lands.
 func (f fleetBatch) Languages(ctx context.Context) ([]wiki.Language, error) {
 	rt := f.rt
 	rt.langMu.Lock()
@@ -35,25 +33,14 @@ func (f fleetBatch) Languages(ctx context.Context) ([]wiki.Language, error) {
 	if cached != nil {
 		return cached, nil
 	}
-	var lastErr error
-	for i := range rt.shards {
-		sh := &rt.shards[i]
-		stats, err := sh.c.Stats(ctx)
-		if err != nil {
-			lastErr = rt.shardErr(ctx, sh, err)
-			continue
-		}
-		langs := make([]wiki.Language, 0, len(stats.Corpus.Articles))
-		for lang := range stats.Corpus.Articles {
-			langs = append(langs, lang)
-		}
-		sort.Slice(langs, func(i, j int) bool { return langs[i] < langs[j] })
-		rt.langMu.Lock()
-		rt.langs = langs
-		rt.langMu.Unlock()
-		return langs, nil
+	stats, err := rt.ServeCorpus(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	rt.langMu.Lock()
+	rt.langs = stats.Corpus.Languages
+	rt.langMu.Unlock()
+	return stats.Corpus.Languages, nil
 }
 
 // PairMatcher implements service.BatchSource. A batch runs one worker

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log"
 	"net/http"
 	"strings"
@@ -254,9 +255,11 @@ func (rt *Router) invalidateLanguages() {
 	rt.langMu.Unlock()
 }
 
-// ServeCorpus serves the corpus and config of the first shard that
-// answers (identical everywhere), with cache stats summed across every
-// shard that answers, since each holds a disjoint artifact slice.
+// ServeCorpus serves the corpus, fingerprint and parameters the
+// answering shards agree on, with cache stats summed across them, since
+// each holds a disjoint artifact slice. Answering shards that disagree
+// on the fingerprint or the parameters serve no one corpus: the router
+// answers unavailable and names each of them.
 func (rt *Router) ServeCorpus(ctx context.Context) (*protocol.StatsResponse, error) {
 	type answer struct {
 		stats *protocol.StatsResponse
@@ -272,7 +275,9 @@ func (rt *Router) ServeCorpus(ctx context.Context) (*protocol.StatsResponse, err
 	var resp *protocol.StatsResponse
 	var cache protocol.CacheStats
 	var lastErr error
-	for _, a := range answers {
+	var served []string
+	agree := true
+	for i, a := range answers {
 		if a.err != nil {
 			lastErr = a.err
 			continue
@@ -280,10 +285,17 @@ func (rt *Router) ServeCorpus(ctx context.Context) (*protocol.StatsResponse, err
 		if resp == nil {
 			resp = a.stats
 		}
+		agree = agree && a.stats.Fingerprint == resp.Fingerprint && a.stats.Config == resp.Config
+		served = append(served, fmt.Sprintf("shard %d (%s) fingerprint %s config %+v",
+			i, rt.shards[i].addr, a.stats.Fingerprint, a.stats.Config))
 		cache.Add(a.stats.Cache)
 	}
 	if resp == nil {
 		return nil, lastErr
+	}
+	if !agree {
+		return nil, protocol.Errorf(protocol.CodeUnavailable,
+			"shards serve different corpora or parameters: %s", strings.Join(served, "; "))
 	}
 	resp.Cache = cache
 	return resp, nil

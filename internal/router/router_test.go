@@ -423,6 +423,65 @@ func TestCorpusAggregation(t *testing.T) {
 	if stats.Cache.PairEntries < 2 {
 		t.Errorf("fleet cache PairEntries = %d, want >= 2", stats.Cache.PairEntries)
 	}
+	// Agreeing shards answer the single binary's corpus identity and
+	// parameters.
+	var single protocol.StatsResponse
+	getJSON(t, f.single.URL+"/v1/corpus", &single)
+	if stats.Fingerprint != single.Fingerprint || stats.Config != single.Config {
+		t.Errorf("fleet serves fingerprint %s config %+v, single binary %s %+v",
+			stats.Fingerprint, stats.Config, single.Fingerprint, single.Config)
+	}
+}
+
+// TestCorpusDisagreement: when the answering shards serve different
+// corpora or parameters, /v1/corpus answers 503 unavailable naming each
+// shard instead of passing off one shard's identity as the fleet's.
+func TestCorpusDisagreement(t *testing.T) {
+	c := smallCorpus(t)
+	otherCfg := synth.SmallConfig()
+	otherCfg.Seed++
+	other, _, err := synth.Generate(otherCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, second := range map[string]*service.Session{
+		"corpus": service.New(other),
+		"config": service.New(c, service.WithTSim(0.7)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var addrs []string
+			for _, s := range []*service.Session{service.New(c), second} {
+				srv := httptest.NewServer(service.NewHandler(s))
+				t.Cleanup(srv.Close)
+				addrs = append(addrs, srv.URL)
+			}
+			rt, err := New(addrs, WithHealthInterval(-1), WithClientOptions(client.WithRetries(0, time.Millisecond)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rt.Close)
+			rtSrv := httptest.NewServer(rt.Handler())
+			t.Cleanup(rtSrv.Close)
+
+			resp, err := http.Get(rtSrv.URL + "/v1/corpus")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var env protocol.ErrorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != protocol.CodeUnavailable {
+				t.Fatalf("disagreeing shards: %d %+v, want 503 unavailable", resp.StatusCode, env.Error)
+			}
+			for i, addr := range addrs {
+				if !strings.Contains(env.Error.Message, fmt.Sprintf("shard %d (%s)", i, addr)) {
+					t.Errorf("message does not name shard %d: %s", i, env.Error.Message)
+				}
+			}
+		})
+	}
 }
 
 // TestHealthAndMetrics: the aggregated health and metrics endpoints

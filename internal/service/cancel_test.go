@@ -102,7 +102,7 @@ func TestMatchTypeCancelMidScoring(t *testing.T) {
 	tp := types[0]
 	// An equal-threshold matcher that is not the session's own warms the
 	// artifact cache without touching the memo.
-	if _, err := s.matchTypeWith(ctx, wiki.PtEn, tp[0], tp[1], core.NewMatcher(s.cfg)); err != nil {
+	if _, err := s.matchTypeWith(ctx, wiki.PtEn, tp[0], tp[1], core.NewMatcher(s.Config())); err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)

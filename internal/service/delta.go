@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"maps"
 	"sort"
 	"time"
@@ -309,7 +308,7 @@ func (s *Session) ServeDelta(ctx context.Context, req protocol.DeltaRequest) (*p
 		Added:        res.Added,
 		Updated:      res.Updated,
 		Removed:      res.Removed,
-		Fingerprint:  fmt.Sprintf("%016x", res.Fingerprint),
+		Fingerprint:  protocol.FormatFingerprint(res.Fingerprint),
 		Languages:    []string{},
 		Pairs:        []protocol.DeltaPair{},
 		DroppedPairs: res.DroppedPairs,

@@ -124,13 +124,15 @@ func (s *Session) relayPairStream(pair wiki.LanguagePair, types [][2]string, sta
 	return out
 }
 
-// ServeCorpus snapshots the corpus, cache and configuration — the
-// body of GET /v1/corpus.
+// ServeCorpus snapshots the corpus, its fingerprint, the cache and the
+// parameters — the body of GET /v1/corpus.
 func (s *Session) ServeCorpus(context.Context) (*protocol.StatsResponse, error) {
+	c := s.Corpus()
 	return &protocol.StatsResponse{
-		Corpus: s.Corpus().Stats(),
-		Cache:  s.CacheStats(),
-		Config: s.cfg,
+		Corpus:      c.Stats(),
+		Fingerprint: protocol.FormatFingerprint(c.Fingerprint()),
+		Cache:       s.CacheStats(),
+		Config:      s.Config().Params,
 	}, nil
 }
 
@@ -180,7 +182,7 @@ func (s *Session) matcherFor(o protocol.Overrides) *core.Matcher {
 	if o.Empty() {
 		return s.m
 	}
-	return core.NewMatcher(o.Apply(s.cfg))
+	return core.NewMatcher(core.Config{Params: o.Apply(s.Config().Params)})
 }
 
 // counterpartType resolves the aligned counterpart of a single-type

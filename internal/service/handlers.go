@@ -66,7 +66,7 @@ type serverState struct {
 //	POST /v1/stream        NDJSON progress stream (pair or all-pairs)
 //	POST /v1/audit         cross-edition value-consistency report
 //	POST /v1/audit/stream  NDJSON audit stream (pairs, findings, final)
-//	GET  /v1/corpus        corpus, cache and configuration snapshot
+//	GET  /v1/corpus        corpus, fingerprint, cache and parameters
 //	POST /v1/corpus/delta  apply article edits, invalidate dirty artifacts
 //	POST /v1/invalidate    drop cached artifacts for a language
 //	GET  /v1/healthz       liveness: uptime, snapshot age, cache stats

@@ -466,7 +466,7 @@ func TestMemoCancelledNotMemoized(t *testing.T) {
 	if got := memoOf(s, wiki.PtEn, tp[0], tp[1]); got != tm {
 		t.Fatalf("memo holds %p after the retry, want the waiter's %p", got, tm)
 	}
-	want := core.NewMatcher(s.cfg).MatchType(c, wiki.PtEn, tp[0], tp[1], pd.dict)
+	want := core.NewMatcher(s.Config()).MatchType(c, wiki.PtEn, tp[0], tp[1], pd.dict)
 	if got, w := canonicalJSON(t, tm.tr.CrossPairsSorted()), canonicalJSON(t, want.CrossPairsSorted()); got != w {
 		t.Errorf("retried memo differs from a cold alignment:\n got %s\nwant %s", got, w)
 	}

@@ -42,15 +42,16 @@ func TestServeMatchScoringOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	misses := s.CacheStats().Misses
-	tsimTEg := core.DefaultConfig()
-	tsimTEg.TSim, tsimTEg.TEg = 0.5, 0.2
+	// No exported option sets TEg; a session configured with it takes
+	// an Option literal.
+	tsimTEg := Option(func(p *core.Params) { p.TSim, p.TEg = 0.5, 0.2 })
 	for _, tc := range []struct {
 		req  protocol.MatchRequest
 		opts []Option
 	}{
 		{protocol.MatchRequest{Pair: "pt-en", TSim: f64p(0.8)}, []Option{WithTSim(0.8)}},
 		{protocol.MatchRequest{Pair: "pt-en", TLSI: f64p(0.3)}, []Option{WithTLSI(0.3)}},
-		{protocol.MatchRequest{Pair: "pt-en", TSim: f64p(0.5), TEg: f64p(0.2)}, []Option{WithConfig(tsimTEg)}},
+		{protocol.MatchRequest{Pair: "pt-en", TSim: f64p(0.5), TEg: f64p(0.2)}, []Option{tsimTEg}},
 	} {
 		got, err := s.ServeMatch(ctx, tc.req)
 		if err != nil {

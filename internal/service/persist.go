@@ -34,7 +34,7 @@ func (s *Session) Save(w io.Writer) error {
 	snap := &store.Snapshot{
 		Fingerprint: st.corpus.Fingerprint(),
 		CreatedAt:   time.Now(),
-		Config:      s.cfg,
+		Config:      s.Config().Params,
 	}
 	for _, n := range nodes {
 		switch n.Key.Kind {
@@ -66,13 +66,13 @@ func (s *Session) Save(w io.Writer) error {
 // Restore builds a warm session from a snapshot written by Save. The
 // snapshot must match the corpus (by fingerprint) or Restore fails with
 // a store.FingerprintError — stale artifacts are rejected at load, never
-// served. The session's configuration starts from the snapshot's and
-// applies opts on top; options that would change how the persisted
-// artifacts were built (dictionary use, LSI rank, SVD path) are rejected
-// with a store.ConfigMismatchError, while pure matching thresholds
-// (Tsim, TLSI, TEg, the ablation switches of Algorithm 1) may differ
+// served. The session's parameters start from the snapshot's and apply
+// opts on top. The LSI rank shaped the persisted artifacts, so a
+// different one is rejected with a store.ConfigMismatchError, as is a
+// pair section without a translation dictionary (the trace a snapshot
+// of the NoDictionary ablation leaves). The thresholds may differ
 // freely: snapshots hold no alignments, which the restored session
-// computes (and memoizes) under its own configuration.
+// computes (and memoizes) under its own parameters.
 //
 // Every artifact in the snapshot is seeded into the engine as a
 // completed node: the first Match against a restored pair counts as
@@ -93,27 +93,19 @@ func RestoreFiltered(c *wiki.Corpus, r io.Reader, keep func(wiki.LanguagePair) b
 	if err != nil {
 		return nil, err
 	}
-	snap.FilterPairs(keep)
 	if fp := c.Fingerprint(); fp != snap.Fingerprint {
 		return nil, &store.FingerprintError{Snapshot: snap.Fingerprint, Corpus: fp}
 	}
-	cfg := snap.Config
-	for _, opt := range opts {
-		opt(&cfg)
+	s := newSession(c, snap.Config, opts)
+	if s.Config().LSIRank != snap.Config.LSIRank {
+		return nil, &store.ConfigMismatchError{Field: "LSIRank"}
 	}
-	if err := checkArtifactConfig(snap.Config, cfg); err != nil {
-		return nil, err
-	}
-
-	s := &Session{
-		cfg:          cfg,
-		m:            core.NewMatcher(cfg),
-		eng:          artifact.NewEngine(),
-		snapshotTime: snap.CreatedAt,
-	}
-	s.BatchRoutes = NewBatchRoutes(sessionBatch{s})
-	s.state.Store(&sessionState{corpus: c})
+	s.snapshotTime = snap.CreatedAt
+	snap.FilterPairs(keep)
 	for _, p := range snap.Pairs {
+		if p.Dict == nil {
+			return nil, &store.ConfigMismatchError{Field: "dictionary"}
+		}
 		s.eng.Seed(artifact.PairKey(p.Pair), &pairData{types: p.Types, dict: p.Dict})
 	}
 	for _, t := range snap.Types {
@@ -121,19 +113,4 @@ func RestoreFiltered(c *wiki.Corpus, r io.Reader, keep func(wiki.LanguagePair) b
 			&typeNode{art: &core.TypeArtifacts{TD: t.TD, LSI: t.LSI}})
 	}
 	return s, nil
-}
-
-// checkArtifactConfig rejects restores whose effective configuration
-// diverges from the snapshot's on any field that shaped the persisted
-// artifacts.
-func checkArtifactConfig(built, want core.Config) error {
-	switch {
-	case built.NoDictionary != want.NoDictionary:
-		return &store.ConfigMismatchError{Field: "NoDictionary"}
-	case built.LSIRank != want.LSIRank:
-		return &store.ConfigMismatchError{Field: "LSIRank"}
-	case built.ExactSVD != want.ExactSVD:
-		return &store.ConfigMismatchError{Field: "ExactSVD"}
-	}
-	return nil
 }

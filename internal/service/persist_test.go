@@ -142,9 +142,10 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreConfigMismatch: options that change how the persisted
-// artifacts were built must be rejected; pure matching thresholds must
-// be accepted.
+// TestRestoreConfigMismatch: a snapshot whose artifacts a cold build
+// with the requested parameters would not produce must be rejected
+// with a typed error, by the full and the filtered restore alike; pure
+// matching thresholds must be accepted.
 func TestRestoreConfigMismatch(t *testing.T) {
 	c := smallCorpus(t)
 	ctx := context.Background()
@@ -157,17 +158,35 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, shape := range map[string]func(*core.Config){
-		"LSIRank":      func(cfg *core.Config) { cfg.LSIRank = 20 },
-		"NoDictionary": func(cfg *core.Config) { cfg.NoDictionary = true },
-		"ExactSVD":     func(cfg *core.Config) { cfg.ExactSVD = true },
+	// A pair section without a dictionary is the trace a snapshot of the
+	// NoDictionary ablation leaves.
+	snap, err := store.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Pairs[0].Dict = nil
+	var noDict bytes.Buffer
+	if err := store.Write(&noDict, snap); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		field string
+		raw   []byte
+		opts  []Option
+	}{
+		{"LSIRank", buf.Bytes(), []Option{func(p *core.Params) { p.LSIRank = 20 }}},
+		{"dictionary", noDict.Bytes(), nil},
 	} {
-		cfg := core.DefaultConfig()
-		shape(&cfg)
-		_, err := Restore(c, bytes.NewReader(buf.Bytes()), WithConfig(cfg))
-		var cm *store.ConfigMismatchError
-		if !errors.As(err, &cm) {
-			t.Errorf("%s: got %v, want ConfigMismatchError", name, err)
+		for name, keep := range map[string]func(wiki.LanguagePair) bool{
+			"full":     nil,
+			"filtered": func(p wiki.LanguagePair) bool { return p == wiki.PtEn },
+		} {
+			_, err := RestoreFiltered(c, bytes.NewReader(tc.raw), keep, tc.opts...)
+			var cm *store.ConfigMismatchError
+			if !errors.As(err, &cm) || cm.Field != tc.field {
+				t.Errorf("%s, %s restore: got %v, want ConfigMismatchError{Field: %q}", tc.field, name, err, tc.field)
+			}
 		}
 	}
 

@@ -1,8 +1,9 @@
 // Package service exposes WikiMatch as a long-lived matching service.
-// A Session wraps one corpus and one matcher configuration and serves
-// as a thin facade over the internal/artifact engine — the keyed
-// dependency graph that caches per-pair translation dictionaries and
-// entity-type alignments and per-type similarity workspaces
+// A Session wraps one corpus and one setting of the paper's parameters
+// (core.Params) and serves as a thin facade over the internal/artifact
+// engine — the keyed dependency graph that caches per-pair translation
+// dictionaries and entity-type alignments and per-type similarity
+// workspaces
 // (sim.TypeData) and LSI models — so repeated and overlapping match
 // calls reuse the expensive construction work instead of recomputing
 // it. All methods are safe for concurrent use; identical artifacts
@@ -50,7 +51,6 @@ type Session struct {
 	// both audits over the session's corpus and cache (sessionBatch).
 	BatchRoutes
 
-	cfg core.Config
 	m   *core.Matcher
 	eng *artifact.Engine
 
@@ -89,16 +89,19 @@ type pairData struct {
 	dict  *dict.Dictionary
 }
 
-// New creates a session over the corpus. Options adjust the matcher
-// configuration starting from core.DefaultConfig (the paper's thresholds).
+// New creates a session over the corpus. Options adjust the parameters
+// starting from core.DefaultParams (the paper's setting).
 func New(c *wiki.Corpus, opts ...Option) *Session {
-	cfg := core.DefaultConfig()
+	return newSession(c, core.DefaultParams(), opts)
+}
+
+// newSession creates a cold session with parameters p adjusted by opts.
+func newSession(c *wiki.Corpus, p core.Params, opts []Option) *Session {
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(&p)
 	}
 	s := &Session{
-		cfg: cfg,
-		m:   core.NewMatcher(cfg),
+		m:   core.NewMatcher(core.Config{Params: p}),
 		eng: artifact.NewEngine(),
 	}
 	s.BatchRoutes = NewBatchRoutes(sessionBatch{s})
@@ -106,8 +109,8 @@ func New(c *wiki.Corpus, opts ...Option) *Session {
 	return s
 }
 
-// Config returns the session's matcher configuration.
-func (s *Session) Config() core.Config { return s.cfg }
+// Config returns the session's matcher configuration: no ablation set.
+func (s *Session) Config() core.Config { return s.m.Config() }
 
 // Corpus returns the corpus the session currently serves.
 func (s *Session) Corpus() *wiki.Corpus { return s.state.Load().corpus }
@@ -275,8 +278,7 @@ func cloneTypes(types [][2]string) [][2]string {
 	return append([][2]string{}, types...)
 }
 
-// Dictionary returns the pair's cached translation dictionary (nil when
-// the session runs the NoDictionary ablation).
+// Dictionary returns the pair's cached translation dictionary.
 func (s *Session) Dictionary(ctx context.Context, pair wiki.LanguagePair) (*dict.Dictionary, error) {
 	pd, err := s.pairArtifacts(ctx, s.state.Load(), pair)
 	if err != nil {
@@ -363,17 +365,12 @@ func (s *Session) buildPairData(ctx context.Context, c *wiki.Corpus, pair wiki.L
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pd := &pairData{types: core.MatchEntityTypes(c, pair)}
-	if !s.cfg.NoDictionary {
-		var err error
-		if pd.dict, err = dict.BuildCtx(ctx, c, pair.A, pair.B); err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	types := core.MatchEntityTypes(c, pair)
+	d, err := dict.BuildCtx(ctx, c, pair.A, pair.B)
+	if err != nil {
 		return nil, err
 	}
-	return pd, nil
+	return &pairData{types: types, dict: d}, nil
 }
 
 // typeNode returns one type pair's node value, building its artifacts

@@ -358,47 +358,14 @@ func TestMatchStreamAbandoned(t *testing.T) {
 	}
 }
 
-// TestSessionOptions checks functional options reach the matcher config
-// in order: WithConfig replaces everything set before it, and later
-// options win.
+// TestSessionOptions checks functional options reach the session's
+// parameters in order: later options win, and every other field keeps
+// the paper's setting.
 func TestSessionOptions(t *testing.T) {
 	want := core.DefaultConfig()
-	want.TEg, want.LSIRank, want.Seed = 0.3, 5, 42
-	want.DisableRevise, want.NoDictionary = true, true
-	cfg := New(smallCorpus(t), WithTSim(0.9), WithConfig(want), WithTSim(0.7), WithTLSI(0.2)).Config()
 	want.TSim, want.TLSI = 0.7, 0.2
+	cfg := New(smallCorpus(t), WithTSim(0.9), WithTLSI(0.3), WithTSim(0.7), WithTLSI(0.2)).Config()
 	if cfg != want {
 		t.Errorf("options not applied: %+v, want %+v", cfg, want)
-	}
-}
-
-// TestSessionNoDictionary checks the ablation path through the session:
-// no dictionary is built or cached, and the result matches the legacy
-// NoDictionary run.
-func TestSessionNoDictionary(t *testing.T) {
-	c := smallCorpus(t)
-	noDict := core.DefaultConfig()
-	noDict.NoDictionary = true
-	s := New(c, WithConfig(noDict))
-	ctx := context.Background()
-	res, err := s.Match(ctx, wiki.PtEn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Dict != nil {
-		t.Error("session NoDictionary match still produced a dictionary")
-	}
-	d, err := s.Dictionary(ctx, wiki.PtEn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != nil {
-		t.Error("Dictionary() non-nil under NoDictionary")
-	}
-	cfg := core.DefaultConfig()
-	cfg.NoDictionary = true
-	want := flattenResult(core.NewMatcher(cfg).Match(c, wiki.PtEn))
-	if flattenResult(res) != want {
-		t.Error("NoDictionary session result differs from legacy run")
 	}
 }

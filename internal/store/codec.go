@@ -177,7 +177,8 @@ func (d *decoder) finish() error {
 // --- pair section ------------------------------------------------------
 
 // encodePair writes one pair's artifacts: the entity-type alignment and
-// the translation dictionary (absent for NoDictionary sessions).
+// the translation dictionary. The format allows a pair without one (a
+// snapshot of the NoDictionary ablation); Restore refuses such a pair.
 func encodePair(p *PairArtifacts) []byte {
 	var e encoder
 	e.str(string(p.Pair.A))

@@ -108,11 +108,10 @@ func (e *FingerprintError) Error() string {
 	return fmt.Sprintf("store: snapshot corpus fingerprint %016x does not match corpus %016x", e.Snapshot, e.Corpus)
 }
 
-// ConfigMismatchError reports a restore whose requested configuration
-// diverges from the snapshot's on a field that shaped the persisted
-// artifacts (dictionary use, LSI rank, SVD path) — serving them would
-// silently produce results a cold build with that configuration would
-// not.
+// ConfigMismatchError reports a restore whose session would differ from
+// the snapshot's on something that shaped the persisted artifacts (Field
+// "LSIRank", or "dictionary" for a pair section built without one) —
+// serving them would silently produce results a cold build would not.
 type ConfigMismatchError struct {
 	Field string
 }

@@ -45,7 +45,7 @@ func tinySnapshot() *Snapshot {
 	return &Snapshot{
 		Fingerprint: 0xfeedface,
 		CreatedAt:   time.Unix(1700000000, 0),
-		Config:      core.DefaultConfig(),
+		Config:      core.DefaultParams(),
 		Pairs: []PairArtifacts{{
 			Pair:  wiki.PtEn,
 			Types: [][2]string{{"filme", "film"}},

@@ -17,7 +17,7 @@ import (
 
 // Snapshot is the in-memory form of one artifact snapshot: everything a
 // matching session caches, plus the provenance needed to validate it at
-// load (corpus fingerprint, matcher configuration, creation time).
+// load (corpus fingerprint, matcher parameters, creation time).
 type Snapshot struct {
 	// Fingerprint identifies the corpus the artifacts were built from
 	// (wiki.Corpus.Fingerprint). Restore rejects snapshots whose
@@ -26,8 +26,9 @@ type Snapshot struct {
 	// CreatedAt is when the snapshot was written; wikimatchd reports the
 	// snapshot's age from it on /healthz.
 	CreatedAt time.Time
-	// Config is the matcher configuration the artifacts were built under.
-	Config core.Config
+	// Config is the parameters the artifacts were built under; of them,
+	// only LSIRank shaped the artifacts.
+	Config core.Params
 	// Pairs holds the per-language-pair artifacts, sorted by pair.
 	Pairs []PairArtifacts
 	// Types holds the per-entity-type artifacts, sorted by
@@ -36,8 +37,7 @@ type Snapshot struct {
 }
 
 // PairArtifacts is one language pair's cached state: the entity-type
-// alignment and the cross-language-link translation dictionary (nil when
-// the session ran the NoDictionary ablation).
+// alignment and the cross-language-link translation dictionary.
 type PairArtifacts struct {
 	Pair  wiki.LanguagePair
 	Types [][2]string

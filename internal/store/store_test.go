@@ -38,7 +38,7 @@ func testSnapshot(t testing.TB) (*Snapshot, []byte) {
 		if err != nil {
 			panic(err)
 		}
-		cfg := core.DefaultConfig()
+		cfg := core.DefaultParams()
 		snap := &Snapshot{
 			Fingerprint: c.Fingerprint(),
 			CreatedAt:   time.Unix(1700000000, 123456789),

@@ -267,12 +267,11 @@ func SaveSessionSnapshot(s *Session, path string) error {
 // written by SaveSessionSnapshot. keep selects the language pairs whose
 // artifacts are loaded — how a shard replica warm-starts with just its
 // slice (see ShardOwned); a nil keep restores everything. The snapshot
-// must have been built from the same corpus (validated by fingerprint)
-// and with the same artifact-shaping configuration (dictionary use, LSI
-// rank, SVD path); otherwise a typed error from internal/store is
-// returned and nothing is loaded. Matching thresholds may be adjusted
-// freely via opts. A restored session's Match results are
-// byte-identical to a cold build's.
+// must have been built from the same corpus (validated by fingerprint),
+// with the same LSI rank and with translation dictionaries; otherwise a
+// typed error from internal/store is returned and nothing is loaded.
+// Matching thresholds may be adjusted freely via opts. A restored
+// session's Match results are byte-identical to a cold build's.
 func RestoreSessionFromFile(c *Corpus, path string, keep func(LanguagePair) bool, opts ...SessionOption) (*Session, error) {
 	f, err := os.Open(path)
 	if err != nil {
