@@ -310,7 +310,7 @@ func svdComparison(b *testing.B, sp *linalg.Sparse) {
 	})
 	b.Run("randomized-sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if d := linalg.RandomizedSVD(sp, lsi.DefaultRank, linalg.RSVDOptions{}); d.Rank() != lsi.DefaultRank {
+			if d := linalg.RandomizedSVD(sp, lsi.DefaultRank); d.Rank() != lsi.DefaultRank {
 				b.Fatal("bad rank")
 			}
 		}

@@ -66,22 +66,22 @@ type Config struct {
 	// asserting the fast path changes no alignments.
 	ExactSVD bool
 
-	// Candidates is the per-attribute shortlist width of the pruned
+	// candidates is the per-attribute shortlist width of the pruned
 	// scoring path (prune.go): every pair whose quantized-LSI upper
 	// bound clears TLSI is rescored exactly, plus each attribute's
-	// Candidates best partners by quantized estimate. 0 selects
-	// DefaultCandidates; negative values disable pruning and score
+	// candidates best partners by quantized estimate. 0 selects
+	// defaultCandidates; negative values disable pruning and score
 	// exhaustively. Survivors are always rescored with the exact
 	// float64 pipeline, so the setting never changes match results —
-	// only how much provably irrelevant work is skipped. A match-time
-	// parameter, not an artifact-shaping one.
-	Candidates int
+	// only how much provably irrelevant work is skipped. Only this
+	// package's tests set it.
+	candidates int
 
-	// ExactScore forces the exhaustive reference scorer, bypassing the
-	// pruned path entirely — the validation escape hatch mirroring
-	// ExactSVD, and the baseline the equivalence tests and the score
-	// benchmark compare the pruned path against.
-	ExactScore bool
+	// exactScore forces the exhaustive reference scorer, bypassing the
+	// pruned path entirely: the baseline this package's equivalence
+	// tests and BenchmarkMatchExhaustive compare the pruned path
+	// against.
+	exactScore bool
 }
 
 // DefaultConfig returns DefaultParams with every ablation switch off.
@@ -428,7 +428,7 @@ func (m *Matcher) MatchTypeCtx(ctx context.Context, c *wiki.Corpus, pair wiki.La
 	// the exact LSI score, survivors are rescored exactly, and they are
 	// enumerated in the same lexicographic pair order, so even
 	// stable-sort tie order is preserved. Configurations the shortlist
-	// bound cannot serve (ablations, ExactScore, negative thresholds)
+	// bound cannot serve (ablations, exactScore, negative thresholds)
 	// take the exhaustive reference route below.
 	n := len(td.Attrs)
 	var queue []Candidate

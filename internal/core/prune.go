@@ -20,9 +20,9 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultCandidates is the per-attribute shortlist width used when
-// Config.Candidates is 0.
-const DefaultCandidates = 16
+// defaultCandidates is the per-attribute shortlist width used when
+// Config.candidates is 0.
+const defaultCandidates = 16
 
 // prunedAttrLimit bounds the packed (i, j) pair encoding of the
 // shortlist; types beyond it (far past anything Wikipedia produces)
@@ -31,11 +31,11 @@ const prunedAttrLimit = 1 << 15
 
 // usePruned reports whether the pruned path can serve cfg for a type
 // with n attributes. It cannot when the caller asked for the exhaustive
-// reference (ExactScore, negative Candidates), when LSI is ablated (the
+// reference (exactScore, negative candidates), when LSI is ablated (the
 // queue is then not LSI-gated at all), or when TLSI is negative (every
 // pair enters the queue, so there is nothing to prune).
 func (cfg Config) usePruned(n int) bool {
-	return !cfg.ExactScore && cfg.Candidates >= 0 && !cfg.DisableLSI &&
+	return !cfg.exactScore && cfg.candidates >= 0 && !cfg.DisableLSI &&
 		cfg.TLSI >= 0 && n > 0 && n < prunedAttrLimit
 }
 
@@ -124,9 +124,9 @@ func prunedQueue(ctx context.Context, td *sim.TypeData, model *lsi.Model, cfg Co
 // warm path allocates nothing.
 func scorePrunedInto(ctx context.Context, td *sim.TypeData, model *lsi.Model, cfg Config, sc *matchScratch) error {
 	n := len(td.Attrs)
-	k := cfg.Candidates
+	k := cfg.candidates
 	if k == 0 {
-		k = DefaultCandidates
+		k = defaultCandidates
 	}
 	if k > n-1 {
 		k = n - 1

@@ -12,7 +12,7 @@ import (
 
 // exact returns cfg with the exhaustive reference path forced on.
 func exact(cfg Config) Config {
-	cfg.ExactScore = true
+	cfg.exactScore = true
 	return cfg
 }
 
@@ -106,7 +106,7 @@ func TestPrunedSweep(t *testing.T) {
 	for _, k := range []int{0, 1, 2, 4, 64} {
 		for _, tlsi := range []float64{0, 0.05, 0.1, 0.35, 0.7} {
 			cfg := DefaultConfig()
-			cfg.Candidates = k
+			cfg.candidates = k
 			cfg.TLSI = tlsi
 			if !cfg.usePruned(len(art.TD.Attrs)) {
 				t.Fatalf("k=%d tlsi=%v unexpectedly exhaustive", k, tlsi)
@@ -213,7 +213,7 @@ func TestScorePrunedZeroAllocs(t *testing.T) {
 	tps := MatchEntityTypes(c, pair)
 	d := dict.Build(c, pair.A, pair.B)
 	cfg := DefaultConfig()
-	cfg.Candidates = 2 // keep the survivor count below the parallel cutoff
+	cfg.candidates = 2 // keep the survivor count below the parallel cutoff
 	art, err := NewMatcher(cfg).BuildTypeArtifacts(context.Background(), c, pair, tps[0][0], tps[0][1], d)
 	if err != nil {
 		t.Fatalf("BuildTypeArtifacts: %v", err)

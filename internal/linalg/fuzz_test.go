@@ -1,100 +1,10 @@
 package linalg
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
 )
-
-// The two codec fuzz targets assert the snapshot store's substrate: the
-// matrix decoders never panic and never allocate unboundedly on
-// adversarial bytes, and anything they accept is structurally sound
-// enough to re-encode into a stable canonical form.
-
-func FuzzMatrixUnmarshal(f *testing.F) {
-	seed := NewMatrix(2, 3)
-	for i := range seed.Data {
-		seed.Data[i] = float64(i) * 0.5
-	}
-	raw, _ := seed.MarshalBinary()
-	f.Add(raw)
-	f.Add(raw[:len(raw)-3]) // truncated data
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // huge dimension
-	empty, _ := NewMatrix(0, 0).MarshalBinary()
-	f.Add(empty)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var m Matrix
-		if err := m.UnmarshalBinary(data); err != nil {
-			return
-		}
-		if len(m.Data) != m.Rows*m.Cols {
-			t.Fatalf("decoded matrix %dx%d carries %d values", m.Rows, m.Cols, len(m.Data))
-		}
-		// Canonical re-encode must round-trip exactly.
-		out, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		var m2 Matrix
-		if err := m2.UnmarshalBinary(out); err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		out2, _ := m2.MarshalBinary()
-		if !bytes.Equal(out, out2) {
-			t.Fatal("canonical encoding not stable")
-		}
-	})
-}
-
-func FuzzSparseUnmarshal(f *testing.F) {
-	seed := SparseFromDense(&Matrix{Rows: 2, Cols: 3, Data: []float64{1, 0, 2, 0, 0, 3}})
-	raw, _ := seed.MarshalBinary()
-	f.Add(raw)
-	f.Add(raw[:len(raw)-5]) // truncated values
-	f.Add([]byte{})
-	f.Add([]byte{0x02, 0x03, 0xff, 0xff, 0x7f}) // nnz far beyond payload
-	empty, _ := (&Sparse{RowPtr: []int{0}}).MarshalBinary()
-	f.Add(empty)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var s Sparse
-		if err := s.UnmarshalBinary(data); err != nil {
-			return
-		}
-		// CSR invariants hold on anything accepted.
-		if len(s.RowPtr) != s.Rows+1 || s.RowPtr[s.Rows] != s.NNZ() {
-			t.Fatalf("row pointers inconsistent: %v vs nnz %d", s.RowPtr, s.NNZ())
-		}
-		for r := 0; r < s.Rows; r++ {
-			if s.RowPtr[r] > s.RowPtr[r+1] {
-				t.Fatalf("row %d pointer not monotone", r)
-			}
-			prev := -1
-			for i := s.RowPtr[r]; i < s.RowPtr[r+1]; i++ {
-				c := s.ColIdx[i]
-				if c <= prev || c >= s.Cols {
-					t.Fatalf("row %d column %d out of order or range", r, c)
-				}
-				prev = c
-			}
-		}
-		out, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		var s2 Sparse
-		if err := s2.UnmarshalBinary(out); err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		out2, _ := s2.MarshalBinary()
-		if !bytes.Equal(out, out2) {
-			t.Fatal("canonical encoding not stable")
-		}
-	})
-}
 
 // FuzzQuantizedRows hammers the int8 quantization round trip with
 // arbitrary bit patterns (including NaN, infinities, denormals, and

@@ -174,6 +174,51 @@ func TestSVDZeroMatrix(t *testing.T) {
 	}
 }
 
+// TestJacobiConvergesOnRankDeficientInput feeds Jacobi the shape LSI
+// produces: a binary occurrence matrix whose rows repeat (12 distinct
+// rows, each 3 times), and its rank-12 Gram matrix. Both leave columns
+// that are numerically zero once the rank is exhausted; those must stop
+// rotating, or every decomposition of such a matrix runs to the sweep
+// cap.
+func TestJacobiConvergesOnRankDeficientInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := NewMatrix(36, 90)
+	for d := 0; d < 12; d++ {
+		row := make([]float64, a.Cols)
+		for c := range row {
+			if rng.Float64() < 0.2 {
+				row[c] = 1
+			}
+		}
+		for r := 0; r < 3; r++ {
+			copy(a.Data[(3*d+r)*a.Cols:], row)
+		}
+	}
+	sp := SparseFromDense(a)
+	for _, tc := range []struct {
+		name string
+		m    *Matrix
+	}{
+		{"dense", a.Transpose()},
+		{"gram", sp.MulSparse(sp.Transpose()).Dense()},
+	} {
+		u, s, v, sweeps := jacobiSVD(tc.m)
+		if sweeps >= maxJacobiSweeps {
+			t.Errorf("%s: Jacobi ran %d sweeps, the cap", tc.name, sweeps)
+		}
+		d := &SVD{U: u, S: s, V: v}
+		if diff := d.Reconstruct().MaxAbsDiff(tc.m); diff > 1e-9 {
+			t.Errorf("%s: reconstruction diff = %v", tc.name, diff)
+		}
+	}
+	dense, gram := ComputeSVD(a), GramSVD(sp, 12)
+	for i := 0; i < 12; i++ {
+		if diff := math.Abs(dense.S[i] - gram.S[i]); diff > 1e-9*dense.S[0] {
+			t.Errorf("σ%d: dense %v, Gram %v", i, dense.S[i], gram.S[i])
+		}
+	}
+}
+
 func TestSVDEmptyMatrix(t *testing.T) {
 	d := ComputeSVD(NewMatrix(0, 0))
 	if d.Rank() != 0 {

@@ -5,44 +5,25 @@ import (
 	"math/rand"
 )
 
-// RSVDOptions tunes the randomized truncated SVD. The zero value selects
-// the defaults, so callers can pass RSVDOptions{} and get sensible
-// behavior.
-type RSVDOptions struct {
-	// Oversample is the number of extra sketch columns beyond the target
-	// rank (Halko/Martinsson/Tropp's p). Default 8.
-	Oversample int
-	// MaxIter caps the subspace (power) iterations. Default 250; the
-	// iteration normally stops earlier via Tol, and each iteration costs
-	// only O(nnz(G)·(k+p)) on the small-side Gram operator.
-	MaxIter int
-	// Tol stops the iteration once the top-k Ritz eigenvalues of the
+// Tuning of the randomized truncated SVD.
+const (
+	// rsvdOversample is the number of extra sketch columns beyond the
+	// target rank (Halko/Martinsson/Tropp's p).
+	rsvdOversample = 8
+	// rsvdMaxIter caps the subspace (power) iterations. The iteration
+	// normally stops earlier via rsvdTol, and each iteration costs only
+	// O(nnz(G)·(k+p)) on the small-side Gram operator.
+	rsvdMaxIter = 250
+	// rsvdTol stops the iteration once the top-k Ritz eigenvalues of the
 	// projected operator — invariant under rotations of the sketch basis
 	// and monotonically increasing — change by less than this relative
 	// amount. Ritz values are quadratically accurate in the subspace
-	// error, so the default 1e-13 leaves the subspace converged to well
-	// under 1e-6.
-	Tol float64
-	// Seed drives the Gaussian sketch; the decomposition is fully
-	// deterministic for a fixed seed. Default 1.
-	Seed int64
-}
-
-func (o RSVDOptions) withDefaults() RSVDOptions {
-	if o.Oversample <= 0 {
-		o.Oversample = 8
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 250
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-13
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+	// error, so 1e-13 leaves the subspace converged to well under 1e-6.
+	rsvdTol = 1e-13
+	// rsvdSeed drives the Gaussian sketch; the decomposition is fully
+	// deterministic.
+	rsvdSeed = 1
+)
 
 // exactSVDCutoff is the size (Rows·Cols) below which SparseTruncatedSVD
 // runs the exact dense Jacobi on the matrix itself: at that scale Jacobi
@@ -61,19 +42,13 @@ const gramExactCutoff = 80
 // stays modest, and the randomized sketch-and-iterate path beyond that.
 // All three touch only stored nonzeros of large inputs.
 func SparseTruncatedSVD(a *Sparse, k int) *SVD {
-	return SparseTruncatedSVDOpts(a, k, RSVDOptions{})
-}
-
-// SparseTruncatedSVDOpts is SparseTruncatedSVD with explicit options.
-func SparseTruncatedSVDOpts(a *Sparse, k int, opt RSVDOptions) *SVD {
-	opt = opt.withDefaults()
-	switch routeFor(a, k, opt) {
+	switch routeFor(a, k) {
 	case routeDense:
 		return TruncatedSVD(a.Dense(), k)
 	case routeGram:
 		return GramSVD(a, k)
 	default:
-		return RandomizedSVD(a, k, opt)
+		return RandomizedSVD(a, k)
 	}
 }
 
@@ -86,7 +61,7 @@ const (
 )
 
 // routeFor picks the decomposition path by shape.
-func routeFor(a *Sparse, k int, opt RSVDOptions) svdRoute {
+func routeFor(a *Sparse, k int) svdRoute {
 	minDim := a.Rows
 	if a.Cols < minDim {
 		minDim = a.Cols
@@ -98,7 +73,7 @@ func routeFor(a *Sparse, k int, opt RSVDOptions) svdRoute {
 	// the sketch width: a 15×50000 matrix must not be densified just
 	// because 15 ≤ k+p — the 15×15 Gram eigensolve handles it in
 	// O(nnz·deg).
-	if minDim <= gramExactCutoff || minDim <= k+opt.Oversample {
+	if minDim <= gramExactCutoff || minDim <= k+rsvdOversample {
 		return routeGram
 	}
 	return routeRandomized
@@ -108,7 +83,7 @@ func routeFor(a *Sparse, k int, opt RSVDOptions) svdRoute {
 // randomized path for this matrix and rank — exposed so tests that
 // claim to validate the randomized path can assert it actually runs.
 func RoutesToRandomized(a *Sparse, k int) bool {
-	return routeFor(a, k, RSVDOptions{}.withDefaults()) == routeRandomized
+	return routeFor(a, k) == routeRandomized
 }
 
 // GramSVD computes the rank-k truncated SVD exactly through the
@@ -150,8 +125,12 @@ func orientSmallSide(a *Sparse) (work, workT *Sparse, tall bool) {
 // is recovered with a single sparse multiplication. Per-iteration cost
 // is O(nnz(G)·(k+p)) plus a thin QR on the small side — independent of
 // the long dimension, and the full matrix is never densified.
-func RandomizedSVD(a *Sparse, k int, opt RSVDOptions) *SVD {
-	opt = opt.withDefaults()
+func RandomizedSVD(a *Sparse, k int) *SVD {
+	return randomizedSVD(a, k, rsvdSeed)
+}
+
+// randomizedSVD is RandomizedSVD with the sketch drawn from seed.
+func randomizedSVD(a *Sparse, k int, seed int64) *SVD {
 	k = clampRank(a, k)
 	if a.Rows == 0 || a.Cols == 0 || k == 0 {
 		return &SVD{U: NewMatrix(a.Rows, 0), S: nil, V: NewMatrix(a.Cols, 0)}
@@ -162,13 +141,13 @@ func RandomizedSVD(a *Sparse, k int, opt RSVDOptions) *SVD {
 	small := work.Rows
 	g := work.MulSparse(workT) // small×small, symmetric PSD
 
-	l := k + opt.Oversample
+	l := k + rsvdOversample
 	if l > small {
 		l = small
 	}
 
 	// Gaussian sketch of G's range.
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	q := NewMatrix(small, l)
 	for i := range q.Data {
 		q.Data[i] = rng.NormFloat64()
@@ -186,7 +165,7 @@ func RandomizedSVD(a *Sparse, k int, opt RSVDOptions) *SVD {
 	// eigensolve is amortized by checking every few iterations.
 	const checkEvery = 5
 	var prev []float64
-	for it := 0; it < opt.MaxIter; it++ {
+	for it := 0; it < rsvdMaxIter; it++ {
 		gq := g.MulDense(q)
 		var h *Matrix
 		if (it+1)%checkEvery == 0 {
@@ -196,7 +175,7 @@ func RandomizedSVD(a *Sparse, k int, opt RSVDOptions) *SVD {
 		q = gq
 		if h != nil {
 			est := ComputeSVD(h).S
-			if ritzConverged(est, prev, k, opt.Tol) {
+			if ritzConverged(est, prev, k, rsvdTol) {
 				break
 			}
 			prev = append(prev[:0], est...)

@@ -54,7 +54,7 @@ func TestRandomizedSVDSingularValuesMatchJacobi(t *testing.T) {
 			sp = randomSparse(rng, tc.rows, tc.cols, tc.density)
 		}
 		exact := ComputeSVD(sp.Dense())
-		fast := RandomizedSVD(sp, tc.k, RSVDOptions{})
+		fast := RandomizedSVD(sp, tc.k)
 		if fast.Rank() != tc.k {
 			t.Fatalf("%dx%d: rank = %d, want %d", tc.rows, tc.cols, fast.Rank(), tc.k)
 		}
@@ -77,7 +77,7 @@ func TestRandomizedSVDSubspaceAnglesMatchJacobi(t *testing.T) {
 		a := gappedMatrix(rng, dims[0], dims[1], spec)
 		sp := SparseFromDense(a)
 		exact := ComputeSVD(a).Truncate(k)
-		fast := RandomizedSVD(sp, k, RSVDOptions{})
+		fast := RandomizedSVD(sp, k)
 		if sinU := subspaceSin(exact.U, fast.U); sinU > 1e-6 {
 			t.Errorf("%v: left subspace angle sin = %g", dims, sinU)
 		}
@@ -103,7 +103,7 @@ func TestRandomizedSVDSparseSubspaceAngles(t *testing.T) {
 	if k < 0 {
 		k = 6 // no strong gap in the scan window; angles still converge via iteration
 	}
-	fast := RandomizedSVD(sp, k, RSVDOptions{})
+	fast := RandomizedSVD(sp, k)
 	tr := exact.Truncate(k)
 	if sinU := subspaceSin(tr.U, fast.U); sinU > 1e-6 {
 		t.Errorf("k=%d: left subspace angle sin = %g", k, sinU)
@@ -127,7 +127,7 @@ func TestRandomizedSVDNearOptimalReconstruction(t *testing.T) {
 	for _, s := range exact.S[k:] {
 		bestSq += s * s
 	}
-	rec := RandomizedSVD(sp, k, RSVDOptions{}).Reconstruct()
+	rec := RandomizedSVD(sp, k).Reconstruct()
 	a := sp.Dense()
 	var gotSq float64
 	for i := range rec.Data {
@@ -142,8 +142,8 @@ func TestRandomizedSVDNearOptimalReconstruction(t *testing.T) {
 func TestRandomizedSVDDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	sp := randomSparse(rng, 80, 60, 0.1)
-	a := RandomizedSVD(sp, 7, RSVDOptions{})
-	b := RandomizedSVD(sp, 7, RSVDOptions{})
+	a := RandomizedSVD(sp, 7)
+	b := RandomizedSVD(sp, 7)
 	for i := range a.S {
 		if a.S[i] != b.S[i] {
 			t.Fatalf("σ%d differs across runs: %v vs %v", i, a.S[i], b.S[i])
@@ -152,7 +152,7 @@ func TestRandomizedSVDDeterministic(t *testing.T) {
 	if a.U.MaxAbsDiff(b.U) != 0 || a.V.MaxAbsDiff(b.V) != 0 {
 		t.Fatal("factors differ across runs with the same seed")
 	}
-	c := RandomizedSVD(sp, 7, RSVDOptions{Seed: 99})
+	c := randomizedSVD(sp, 7, 99)
 	for i := range a.S {
 		if diff := math.Abs(a.S[i] - c.S[i]); diff > 1e-6 {
 			t.Errorf("σ%d unstable across seeds: diff %g", i, diff)
@@ -163,7 +163,7 @@ func TestRandomizedSVDDeterministic(t *testing.T) {
 func TestRandomizedSVDFactorOrthogonality(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	sp := randomSparse(rng, 60, 100, 0.1)
-	d := RandomizedSVD(sp, 6, RSVDOptions{})
+	d := RandomizedSVD(sp, 6)
 	for name, f := range map[string]*Matrix{"U": d.U, "V": d.V} {
 		g := f.Transpose().Mul(f)
 		for r := 0; r < g.Rows; r++ {
@@ -197,10 +197,10 @@ func TestSparseTruncatedSVDTinyFallsBackToExact(t *testing.T) {
 }
 
 func TestRandomizedSVDDegenerateInputs(t *testing.T) {
-	if d := RandomizedSVD(NewSparse(0, 5, nil), 3, RSVDOptions{}); d.Rank() != 0 {
+	if d := RandomizedSVD(NewSparse(0, 5, nil), 3); d.Rank() != 0 {
 		t.Errorf("empty rows rank = %d", d.Rank())
 	}
-	if d := RandomizedSVD(NewSparse(40, 200, nil), 3, RSVDOptions{}); d.Rank() != 3 {
+	if d := RandomizedSVD(NewSparse(40, 200, nil), 3); d.Rank() != 3 {
 		t.Errorf("zero matrix rank = %d", d.Rank())
 	} else {
 		for _, s := range d.S {
@@ -212,7 +212,7 @@ func TestRandomizedSVDDegenerateInputs(t *testing.T) {
 	// k above min dimension clamps.
 	rng := rand.New(rand.NewSource(99))
 	sp := randomSparse(rng, 100, 50, 0.1)
-	if d := RandomizedSVD(sp, 500, RSVDOptions{}); d.Rank() != 50 {
+	if d := RandomizedSVD(sp, 500); d.Rank() != 50 {
 		t.Errorf("over-truncate rank = %d", d.Rank())
 	}
 }

@@ -60,30 +60,45 @@ func ComputeSVD(a *Matrix) *SVD {
 	if transposed {
 		work = a.Transpose()
 	}
-	u, s, v := jacobiSVD(work)
+	u, s, v, _ := jacobiSVD(work)
 	if transposed {
 		u, v = v, u
 	}
 	return &SVD{U: u, S: s, V: v}
 }
 
+// Jacobi convergence: a column pair counts as orthogonal once
+// |γ| ≤ jacobiEps·√(αβ), and no decomposition runs more than
+// maxJacobiSweeps sweeps.
+const (
+	jacobiEps       = 1e-12
+	maxJacobiSweeps = 60
+)
+
 // jacobiSVD decomposes a tall matrix (rows ≥ cols) via one-sided Jacobi
 // rotations: it repeatedly rotates pairs of columns of B (a working copy
 // of A) until all pairs are numerically orthogonal. The right factor V
 // accumulates the rotations; singular values are the column norms of the
 // converged B and U its normalized columns.
-func jacobiSVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
+func jacobiSVD(a *Matrix) (u *Matrix, s []float64, v *Matrix, sweeps int) {
 	m, n := a.Rows, a.Cols
 	b := a.Clone()
 	v = NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		v.Set(i, i, 1)
 	}
-	const (
-		eps       = 1e-12
-		maxSweeps = 60
-	)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	// A column whose squared norm falls to eps²·‖B‖²_F is numerically
+	// zero: rotating it against another column only shuffles rounding
+	// noise, and on a rank-deficient input (a Gram matrix, repeated
+	// rows) such pairs would keep every sweep rotating until the cap.
+	// Rotations preserve ‖B‖_F, so the floor is computed once.
+	var normF2 float64
+	for _, x := range b.Data {
+		normF2 += x * x
+	}
+	floor := jacobiEps * jacobiEps * normF2
+	for sweeps < maxJacobiSweeps {
+		sweeps++
 		rotated := false
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -94,7 +109,8 @@ func jacobiSVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
 					beta += bq * bq
 					gamma += bp * bq
 				}
-				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) || gamma == 0 {
+				if alpha <= floor || beta <= floor ||
+					math.Abs(gamma) <= jacobiEps*math.Sqrt(alpha*beta) || gamma == 0 {
 					continue
 				}
 				rotated = true
@@ -152,7 +168,7 @@ func jacobiSVD(a *Matrix) (u *Matrix, s []float64, v *Matrix) {
 			sortedV.Data[r*n+newJ] = v.Data[r*n+oldJ]
 		}
 	}
-	return sortedU, sortedS, sortedV
+	return sortedU, sortedS, sortedV, sweeps
 }
 
 // TruncatedSVD computes the rank-k truncated SVD of a.

@@ -113,15 +113,6 @@ func WithShardGate(label string, owned func(wiki.LanguagePair) bool) HandlerOpti
 	}
 }
 
-// RequestID returns the request's ID ("" outside the middleware stack).
-// The ID travels in the context under a protocol-package key so the
-// client SDK can forward it as the outbound X-Request-Id header — one
-// user request stays traceable through a router to the shard that
-// served it.
-func RequestID(ctx context.Context) string {
-	return protocol.RequestIDFromContext(ctx)
-}
-
 // serverMetrics aggregates the stack's counters. Totals and gauges are
 // atomics; the keyed breakdowns take a mutex on the (cheap) completion
 // path.
@@ -241,8 +232,12 @@ func wrapMiddleware(next http.Handler, cfg HandlerConfig) (http.Handler, *server
 
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Request ID: echo a sane client-supplied one, mint otherwise.
+		// It travels in the context under the protocol package's key, so
+		// the client SDK forwards it as the outbound X-Request-Id header
+		// and one user request stays traceable through a router to the
+		// shard that served it.
 		id := r.Header.Get("X-Request-Id")
-		if !validRequestID(id) {
+		if !protocol.ValidRequestID(id) {
 			id = "req-" + strconv.FormatUint(reqCounter.Add(1), 10)
 		}
 		w.Header().Set("X-Request-Id", id)
@@ -325,12 +320,6 @@ func shed(w http.ResponseWriter, m *serverMetrics) {
 	w.Header().Set("Retry-After", "1")
 	writeEnvelope(w, protocol.Errorf(protocol.CodeOverloaded, "server is at its concurrency limit; retry shortly"))
 }
-
-// validRequestID accepts short printable ASCII tokens, rejecting
-// anything that could corrupt logs or headers. The check itself lives
-// in the protocol package, shared with the client SDK's header
-// forwarding.
-func validRequestID(id string) bool { return protocol.ValidRequestID(id) }
 
 // writeEnvelope writes a structured protocol error with its transport
 // status.

@@ -217,7 +217,7 @@ func TestPanicRecovery(t *testing.T) {
 func TestRequestIDPropagation(t *testing.T) {
 	var seen string
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seen = RequestID(r.Context())
+		seen = protocol.RequestIDFromContext(r.Context())
 		w.WriteHeader(http.StatusNoContent)
 	})
 	h, _ := wrapWith(inner)

@@ -440,10 +440,49 @@ func decodeTypeData(d *decoder) *sim.Snapshot {
 	return s
 }
 
+// embedding writes an LSI embedding as a blob holding uvarint rows,
+// uvarint cols, then the rows·cols entries in row-major order.
+func (e *encoder) embedding(m *linalg.Matrix) {
+	inner := encoder{buf: make([]byte, 0, 2*binary.MaxVarintLen64+8*len(m.Data))}
+	inner.uvarint(m.Rows)
+	inner.uvarint(m.Cols)
+	for _, v := range m.Data {
+		inner.f64(v)
+	}
+	e.blob(inner.buf)
+}
+
+// embedding reads the blob embedding writes. The header is checked
+// against the blob's length before the matrix is allocated, so a
+// corrupt size fails here instead of driving a huge allocation.
+func (d *decoder) embedding() *linalg.Matrix {
+	in := decoder{buf: d.blob()}
+	if d.err != nil {
+		return nil
+	}
+	rows, cols := in.uvarint(), in.uvarint()
+	if in.err == nil && cols != 0 && rows > len(in.buf)/8/cols {
+		in.fail(fmt.Errorf("%d×%d does not fit %d bytes", rows, cols, len(in.buf)))
+	}
+	if in.err != nil {
+		d.fail(fmt.Errorf("lsi embedding: %w", in.err))
+		return nil
+	}
+	m := linalg.NewMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = in.f64()
+	}
+	if err := in.finish(); err != nil {
+		d.fail(fmt.Errorf("lsi embedding: %w", err))
+		return nil
+	}
+	return m
+}
+
 func encodeModel(e *encoder, m *lsi.Model) {
 	e.uvarint(m.Rank())
 	encodeAttrs(e, m.Attrs)
-	e.blob(m.Embedding().AppendBinary(nil))
+	e.embedding(m.Embedding())
 	pairs := m.CoOccurrences()
 	e.uvarint(len(pairs))
 	for _, p := range pairs {
@@ -455,13 +494,8 @@ func encodeModel(e *encoder, m *lsi.Model) {
 func decodeModel(d *decoder) *lsi.Model {
 	rank := d.uvarint()
 	attrs := decodeAttrs(d)
-	raw := d.blob()
+	emb := d.embedding()
 	if d.err != nil {
-		return nil
-	}
-	var emb linalg.Matrix
-	if err := emb.UnmarshalBinary(raw); err != nil {
-		d.fail(fmt.Errorf("lsi embedding: %w", err))
 		return nil
 	}
 	if emb.Rows != len(attrs) {
@@ -481,5 +515,5 @@ func decodeModel(d *decoder) *lsi.Model {
 	if d.err != nil {
 		return nil
 	}
-	return lsi.Restore(attrs, rank, &emb, pairs)
+	return lsi.Restore(attrs, rank, emb, pairs)
 }

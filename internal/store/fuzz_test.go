@@ -100,3 +100,34 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeType drives the type-section decoder directly. Mutations of
+// a whole snapshot mostly stop at the section CRC; here every mutation
+// reaches the payload decoders — the similarity workspace and the LSI
+// embedding — so they must never panic, never return a value alongside
+// an error, and reach a canonical form after one re-encoding.
+func FuzzDecodeType(f *testing.F) {
+	valid := encodeType(&tinySnapshot().Types[0])
+	f.Add(valid)
+	for _, cut := range []int{0, 1, len(valid) / 4, len(valid) / 2, len(valid) - 20, len(valid) - 1} {
+		f.Add(append([]byte(nil), valid[:cut]...))
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		ta, err := decodeType(payload)
+		if err != nil {
+			if ta != nil {
+				t.Fatalf("decodeType returned a value alongside error %v", err)
+			}
+			return
+		}
+		once := encodeType(ta)
+		tb, err := decodeType(once)
+		if err != nil {
+			t.Fatalf("re-decode of re-encoded payload failed: %v", err)
+		}
+		if twice := encodeType(tb); !bytes.Equal(once, twice) {
+			t.Fatal("re-encoding a decoded payload is not stable")
+		}
+	})
+}
