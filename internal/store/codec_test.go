@@ -34,32 +34,44 @@ func TestSnapshotBytesStable(t *testing.T) {
 	}
 }
 
-// TestEmbeddingRoundTrip requires the embedding codec to return every
-// entry's exact bit pattern — signed zeros and infinities included —
-// and to keep the shape of empty matrices.
-func TestEmbeddingRoundTrip(t *testing.T) {
-	full := linalg.NewMatrix(3, 4)
-	for i := range full.Data {
-		full.Data[i] = math.Sqrt(float64(i)) * math.Pi
+// roundTripEmbedding encodes m with the embedding codec, decodes it back
+// and requires the same shape and every entry's exact bit pattern.
+func roundTripEmbedding(t *testing.T, m *linalg.Matrix) {
+	t.Helper()
+	var e encoder
+	e.embedding(m)
+	d := decoder{buf: e.buf}
+	got := d.embedding()
+	if err := d.finish(); err != nil {
+		t.Fatalf("%d×%d: %v", m.Rows, m.Cols, err)
 	}
-	full.Data[5] = math.Copysign(0, -1)
-	full.Data[7] = math.Inf(1)
-	for _, m := range []*linalg.Matrix{full, linalg.NewMatrix(0, 0), linalg.NewMatrix(5, 0), linalg.NewMatrix(0, 7)} {
-		var e encoder
-		e.embedding(m)
-		d := decoder{buf: e.buf}
-		got := d.embedding()
-		if err := d.finish(); err != nil {
-			t.Fatalf("%d×%d: %v", m.Rows, m.Cols, err)
+	if got.Rows != m.Rows || got.Cols != m.Cols {
+		t.Fatalf("shape %d×%d != %d×%d", got.Rows, got.Cols, m.Rows, m.Cols)
+	}
+	for i := range m.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(m.Data[i]) {
+			t.Fatalf("Data[%d]: %x != %x", i, got.Data[i], m.Data[i])
 		}
-		if got.Rows != m.Rows || got.Cols != m.Cols {
-			t.Fatalf("shape %d×%d != %d×%d", got.Rows, got.Cols, m.Rows, m.Cols)
-		}
-		for i := range m.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(m.Data[i]) {
-				t.Fatalf("Data[%d]: %x != %x", i, got.Data[i], m.Data[i])
-			}
-		}
+	}
+}
+
+// TestEmbeddingRoundTrip requires the embedding codec to return every
+// entry's exact bit pattern, signed zeros and infinities included.
+func TestEmbeddingRoundTrip(t *testing.T) {
+	m := linalg.NewMatrix(3, 4)
+	for i := range m.Data {
+		m.Data[i] = math.Sqrt(float64(i)) * math.Pi
+	}
+	m.Data[5] = math.Copysign(0, -1)
+	m.Data[7] = math.Inf(1)
+	roundTripEmbedding(t, m)
+}
+
+// TestEmbeddingEmpty requires the embedding codec to keep the shape of
+// matrices with no entries.
+func TestEmbeddingEmpty(t *testing.T) {
+	for _, m := range []*linalg.Matrix{linalg.NewMatrix(0, 0), linalg.NewMatrix(5, 0), linalg.NewMatrix(0, 7)} {
+		roundTripEmbedding(t, m)
 	}
 }
 
