@@ -73,14 +73,6 @@ func NewEngine() *Engine {
 	}
 }
 
-// Epoch returns the current graph epoch. Callers capture it together
-// with their corpus snapshot and pass it back to Get.
-func (e *Engine) Epoch() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.epoch
-}
-
 // Get returns the node's value, building it with build on a miss.
 // Concurrent callers for the same key share one build; if the builder's
 // context is cancelled the entry is discarded and surviving waiters
@@ -388,15 +380,6 @@ func (t *Tx) Epoch() uint64 { return t.e.epoch }
 
 // Keys lists the live entry keys of one kind, canonically sorted.
 func (t *Tx) Keys(kind Kind) []Key { return t.e.keys(kind) }
-
-// Value returns a node's completed value, as Engine.Value.
-func (t *Tx) Value(key Key) (any, bool) {
-	ent, ok := t.e.nodes[key]
-	if !ok || !entryDone(ent.done) || ent.err != nil {
-		return nil, false
-	}
-	return ent.val, true
-}
 
 // Invalidate drops roots and their transitive dependents, tallying into
 // the counts Apply returns.

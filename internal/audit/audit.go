@@ -309,8 +309,8 @@ func buildAnchorDict(c *wiki.Corpus) map[wiki.Language]map[string]string {
 	return out
 }
 
-// part is one comma-separated component of a value, with its typed
-// normal form and the link target its anchor carries, if any.
+// part is one atom of a value, with its typed normal form and the link
+// target its anchor carries, if any.
 type part struct {
 	raw    string
 	norm   text.NormalizedValue
@@ -333,8 +333,8 @@ func (o *observation) normString() string {
 	return strings.Join(outs, ", ")
 }
 
-// splitValue cuts a raw infobox value into parts and attaches link
-// targets by anchor text.
+// splitValue cuts a raw infobox value into its text.ValueAtoms parts and
+// attaches link targets by anchor text.
 func splitValue(av wiki.AttributeValue) []part {
 	targets := make(map[string]string, len(av.Links))
 	for _, l := range av.Links {
@@ -342,13 +342,10 @@ func splitValue(av wiki.AttributeValue) []part {
 			targets[l.Anchor] = l.Target
 		}
 	}
-	raws := strings.Split(av.Text, ", ")
-	parts := make([]part, 0, len(raws))
-	for _, r := range raws {
-		if r == "" {
-			continue
-		}
-		parts = append(parts, part{raw: r, norm: text.NormalizeValue(r), target: targets[r]})
+	atoms := text.ValueAtoms(av.Text)
+	parts := make([]part, len(atoms))
+	for i, r := range atoms {
+		parts[i] = part{raw: r, norm: text.NormalizeValue(r), target: targets[r]}
 	}
 	return parts
 }

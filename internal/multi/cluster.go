@@ -80,16 +80,6 @@ type Cluster struct {
 	Agreement float64 `json:"agreement"`
 }
 
-// edgeKey orders a node pair canonically.
-type edgeKey [2]Attr
-
-func keyOf(a, b Attr) edgeKey {
-	if attrLess(b, a) {
-		return edgeKey{b, a}
-	}
-	return edgeKey{a, b}
-}
-
 // langType names one entity type of one language edition.
 type langType struct {
 	Lang wiki.Language
@@ -135,12 +125,7 @@ func BuildClusters(plan Plan, outcomes []PairOutcome) []Cluster {
 	}
 	sort.Slice(g.langs, func(i, j int) bool { return g.langs[i] < g.langs[j] })
 
-	edges := make(map[edgeKey]float64)
 	addEdge := func(a, b Attr, conf float64) {
-		k := keyOf(a, b)
-		if old, ok := edges[k]; !ok || conf > old {
-			edges[k] = conf
-		}
 		for _, e := range [2][2]Attr{{a, b}, {b, a}} {
 			m := g.adj[e[0]]
 			if m == nil {
@@ -178,8 +163,10 @@ func BuildClusters(plan Plan, outcomes []PairOutcome) []Cluster {
 
 	// Connected components via union-find over the nodes.
 	uf := newUnionFind()
-	for k := range edges {
-		uf.union(k[0], k[1])
+	for a, nbrs := range g.adj {
+		for b := range nbrs {
+			uf.union(a, b)
+		}
 	}
 	byRoot := make(map[Attr][]Attr)
 	for a := range g.adj {
@@ -384,11 +371,6 @@ func clampConfidence(b float64) float64 {
 		return 1
 	}
 	return b
-}
-
-// bottleneckConfidence is the single-pair form of relaxBottlenecks.
-func bottleneckConfidence(from, to Attr, adj map[Attr]map[Attr]float64) float64 {
-	return clampConfidence(relaxBottlenecks(from, adj)[to])
 }
 
 // firstHop returns the lowest neighbor of a that leads toward b — a

@@ -405,10 +405,10 @@ func TestBottleneckConfidence(t *testing.T) {
 		h: {a: 0.9, b: 0.4},
 		b: {h: 0.4},
 	}
-	if got := bottleneckConfidence(a, b, adj); got != 0.4 {
+	if got := clampConfidence(relaxBottlenecks(a, adj)[b]); got != 0.4 {
 		t.Errorf("bottleneck = %v, want 0.4", got)
 	}
-	if got := bottleneckConfidence(a, Attr{Lang: vi, Type: "t", Name: "absent"}, adj); got != 0 {
+	if got := clampConfidence(relaxBottlenecks(a, adj)[Attr{Lang: vi, Type: "t", Name: "absent"}]); got != 0 {
 		t.Errorf("unreachable bottleneck = %v, want 0", got)
 	}
 }

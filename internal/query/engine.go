@@ -208,8 +208,9 @@ func satisfies(ib *wiki.Infobox, c Constraint, lang wiki.Language) bool {
 }
 
 // NumericValue extracts a comparable number from an attribute value:
-// dates yield their year, money strings apply their magnitude word, and
-// otherwise the first number wins.
+// dates yield their year, money strings apply their first scale word
+// (a whole token: "party" is not "ty"), and otherwise the first number
+// wins.
 func NumericValue(lang wiki.Language, value string) (float64, bool) {
 	terms := sim.ValueTerms(lang, value)
 	if len(terms) == 0 {
@@ -225,15 +226,9 @@ func NumericValue(lang wiki.Language, value string) (float64, bool) {
 	}
 	norm := text.Normalize(value)
 	mult := 1.0
-	for _, m := range []struct {
-		word string
-		f    float64
-	}{
-		{"billion", 1e9}, {"bilhoes", 1e9}, {"bilhao", 1e9}, {"ty", 1e9},
-		{"million", 1e6}, {"milhoes", 1e6}, {"milhao", 1e6}, {"trieu", 1e6},
-	} {
-		if strings.Contains(norm, m.word) {
-			mult = m.f
+	for _, tok := range text.Tokenize(value) {
+		if s, ok := text.ScaleWord(tok); ok {
+			mult = s
 			break
 		}
 	}

@@ -159,6 +159,10 @@ func TestNumericValue(t *testing.T) {
 		{wiki.English, "October 4, 1987", 1987, true},
 		{wiki.English, "160 minutes", 160, true},
 		{wiki.English, "plain words", 0, false},
+		// Scale words match whole tokens: "party" and "liberty" are not "ty".
+		{wiki.English, "Party of 5", 5, true},
+		{wiki.English, "45 episodes (Liberty City)", 45, true},
+		{wiki.Portuguese, "2 mil", 2000, true},
 	}
 	for _, cse := range cases {
 		got, ok := NumericValue(cse.lang, cse.value)

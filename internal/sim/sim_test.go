@@ -9,34 +9,6 @@ import (
 	"repro/internal/wiki"
 )
 
-func TestCanonicalDate(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-		ok   bool
-	}{
-		{"December 18, 1950", "1950-12-18", true},
-		{"December 18 1950", "1950-12-18", true},
-		{"18 de dezembro de 1950", "1950-12-18", true},
-		{"18 de Dezembro 1950", "1950-12-18", true},
-		{"18 tháng 12 năm 1950", "1950-12-18", true},
-		{"18 tháng 12 1950", "1950-12-18", true},
-		{"June 4 1975", "1975-06-04", true},
-		{"4 de junho de 1975", "1975-06-04", true},
-		{"just words", "", false},
-		{"1963", "", false},
-		{"December 40, 1950", "", false},
-		{"0 de dezembro de 1950", "", false},
-		{"160 minutes", "", false},
-	}
-	for _, c := range cases {
-		got, ok := CanonicalDate(c.in)
-		if ok != c.ok || got != c.want {
-			t.Errorf("CanonicalDate(%q) = %q, %v; want %q, %v", c.in, got, ok, c.want, c.ok)
-		}
-	}
-}
-
 func TestValueTerms(t *testing.T) {
 	terms := ValueTerms(wiki.Portuguese, "Irlanda, 18 de Dezembro de 1950, Estados Unidos")
 	want := []string{"irlanda", "1950-12-18", "1950", "estados unidos"}

@@ -322,12 +322,6 @@ func (td *TypeData) RawVSim(i, j int, translated bool) float64 {
 	return vi.Cosine(vj)
 }
 
-// TranslatedVector exposes the A→B translated vector (nil on the B side).
-func (td *TypeData) TranslatedVector(i int) text.TF { return td.transVec[i] }
-
-// LinkVector exposes an attribute's canonical link-target vector.
-func (td *TypeData) LinkVector(i int) text.TF { return td.linkVec[i] }
-
 // Grouping returns g(ap, aq) = Opq / min(Op, Oq), the within-language
 // grouping score of Section 3.4. It is 0 for attributes of different
 // languages or unobserved attributes.

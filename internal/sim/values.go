@@ -1,133 +1,47 @@
 // Package sim computes the similarity evidence WikiMatch combines
 // (Section 3.2): cross-language value similarity (vsim) over
-// dictionary-translated value vectors, link-structure similarity (lsim)
+// dictionary-translated value vectors, whose terms read infobox values
+// through internal/text's one value reader (atoms and dates, shared with
+// the audit), link-structure similarity (lsim)
 // over cross-language-resolved link targets, the grouping score g and
 // inductive grouping score eg of the ReviseUncertain step (Section 3.4),
 // and the alternative correlation measures X1, X2, X3 of Appendix B.
 package sim
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/text"
 	"repro/internal/wiki"
 )
 
-// monthIndex maps normalized month names (English and Portuguese) to
-// their number, for date canonicalization.
-var monthIndex = map[string]int{
-	"january": 1, "february": 2, "march": 3, "april": 4, "may": 5,
-	"june": 6, "july": 7, "august": 8, "september": 9, "october": 10,
-	"november": 11, "december": 12,
-	"janeiro": 1, "fevereiro": 2, "marco": 3, "abril": 4, "maio": 5,
-	"junho": 6, "julho": 7, "agosto": 8, "setembro": 9, "outubro": 10,
-	"novembro": 11, "dezembro": 12,
-}
-
-// CanonicalDate recognizes a date expression in any of the three
-// languages' conventions and returns it in ISO form ("1950-12-18"):
-//
-//	English:    "December 18, 1950" / "December 18 1950"
-//	Portuguese: "18 de dezembro de 1950" / "18 de Dezembro 1950"
-//	Vietnamese: "18 tháng 12 năm 1950" / "18 tháng 12 1950"
-//
-// This plays the role the paper's title dictionary plays for date values
-// (day-month pages are cross-linked articles in Wikipedia): it puts the
-// two languages' renderings of the same date into a common form before
-// cosine comparison.
-func CanonicalDate(term string) (string, bool) {
-	toks := text.Tokenize(term)
-	if len(toks) < 3 || len(toks) > 5 {
-		return "", false
-	}
-	// Strip Portuguese "de" and Vietnamese "nam" connectives.
-	var parts []string
-	for _, t := range toks {
-		if t == "de" || t == "nam" {
-			continue
-		}
-		parts = append(parts, t)
-	}
-	// Valid shapes: [month day year] (en), [day month year] (pt), or
-	// [day "thang" month year] (vn).
-	if len(parts) != 3 && !(len(parts) == 4 && parts[1] == "thang") {
-		return "", false
-	}
-	var day, month, year int
-	switch {
-	case len(parts) == 4 && parts[1] == "thang":
-		day = atoiOr(parts[0], -1)
-		month = atoiOr(parts[2], -1)
-		year = atoiOr(parts[3], -1)
-	case len(parts) == 3 && monthIndex[parts[0]] > 0:
-		// English: month day year.
-		month = monthIndex[parts[0]]
-		day = atoiOr(parts[1], -1)
-		year = atoiOr(parts[2], -1)
-	case len(parts) == 3 && monthIndex[parts[1]] > 0:
-		// Portuguese: day month year.
-		day = atoiOr(parts[0], -1)
-		month = monthIndex[parts[1]]
-		year = atoiOr(parts[2], -1)
-	default:
-		return "", false
-	}
-	if day < 1 || day > 31 || month < 1 || month > 12 || year < 100 || year > 3000 {
-		return "", false
-	}
-	return fmt.Sprintf("%04d-%02d-%02d", year, month, day), true
-}
-
-func atoiOr(s string, def int) int {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
-	return v
-}
-
-// ValueTerms splits an attribute's raw value text into normalized value
-// terms — the components of the paper's value vectors. Values are split
-// on commas outside parentheses; date expressions are canonicalized.
-// English dates carry an internal comma ("October 4, 1987"), so adjacent
-// segments that jointly parse as a date are re-merged.
+// ValueTerms reads an attribute's raw value text into normalized value
+// terms — the components of the paper's value vectors. The value's
+// atoms are text.ValueAtoms, so an English date's internal comma
+// ("October 4, 1987") does not cut it. A date atom in any edition's
+// convention becomes its ISO form and its year; a "<number> <unit>" atom
+// becomes the number; any other atom is its normalized text plus its
+// digit runs.
 func ValueTerms(lang wiki.Language, value string) []string {
-	segs := splitValue(value)
 	var terms []string
-	for i := 0; i < len(segs); i++ {
-		seg := strings.TrimSpace(segs[i])
-		if seg == "" {
-			continue
-		}
-		if i+1 < len(segs) {
-			joined := seg + ", " + strings.TrimSpace(segs[i+1])
-			if iso, ok := CanonicalDate(joined); ok {
-				terms = append(terms, iso, iso[:4])
-				i++
-				continue
-			}
-		}
-		if iso, ok := CanonicalDate(seg); ok {
+	for _, atom := range text.ValueAtoms(value) {
+		if d, ok := text.ParseDate(atom); ok {
 			// A date contributes both its full ISO form and its year: the
 			// year survives day-level inconsistencies between language
 			// editions (the paper's running-time/date noise, §1).
+			iso := d.Canonical()
 			terms = append(terms, iso, iso[:4])
 			continue
 		}
-		n := text.Normalize(seg)
-		if n == "" {
-			continue
-		}
-		// A "<number> <unit>" segment ("160 minutes" / "160 min" /
+		n := text.Normalize(atom)
+		// A "<number> <unit>" atom ("160 minutes" / "160 min" /
 		// "160 phút") reduces to its language-independent number.
 		if toks := strings.Fields(n); len(toks) == 2 && isDigits(toks[0]) && !isDigits(toks[1]) {
 			terms = append(terms, toks[0])
 			continue
 		}
 		terms = append(terms, n)
-		// Other segments containing numbers ("US$ 23 milhões") also
+		// Other atoms containing numbers ("US$ 23 milhões") also
 		// contribute their digit runs, which survive translation.
 		for _, run := range digitRuns(n) {
 			if run != n {
@@ -138,19 +52,17 @@ func ValueTerms(lang wiki.Language, value string) []string {
 	return terms
 }
 
-// RawValueTerms splits a value into plain normalized comma segments,
-// with none of the date/number canonicalization ValueTerms performs.
-// This is the representation generic instance matchers (the COMA++
-// baseline) work with; the canonicalization above is part of WikiMatch's
-// own value pipeline.
+// RawValueTerms reads a value into its plain normalized atoms
+// (text.SplitValue), with none of the date re-joining and number
+// handling ValueTerms performs. This is the representation generic
+// instance matchers (the COMA++ and Ziggurat baselines) work with; the
+// canonicalization above is part of WikiMatch's own value pipeline.
 func RawValueTerms(value string) []string {
-	var terms []string
-	for _, seg := range splitValue(value) {
-		if n := text.Normalize(seg); n != "" {
-			terms = append(terms, n)
-		}
+	atoms := text.SplitValue(value)
+	for i, a := range atoms {
+		atoms[i] = text.Normalize(a)
 	}
-	return terms
+	return atoms
 }
 
 func isDigits(s string) bool {
@@ -180,27 +92,4 @@ func digitRuns(s string) []string {
 		}
 	}
 	return runs
-}
-
-// splitValue splits on commas that are not inside parentheses.
-func splitValue(s string) []string {
-	var parts []string
-	depth, last := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			if depth > 0 {
-				depth--
-			}
-		case ',':
-			if depth == 0 {
-				parts = append(parts, s[last:i])
-				last = i + 1
-			}
-		}
-	}
-	parts = append(parts, s[last:])
-	return parts
 }

@@ -154,26 +154,3 @@ func (g *GroundTruth) TruthFor(canonType string) (*TypeTruth, bool) {
 	t, ok := g.Types[canonType]
 	return t, ok
 }
-
-// CanonTypes lists the canonical types, sorted.
-func (g *GroundTruth) CanonTypes() []string {
-	out := make([]string, 0, len(g.Types))
-	for t := range g.Types {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EntityByTitle finds the generated entity behind an article title, for
-// the case study's relevance oracle.
-func (g *GroundTruth) EntityByTitle(lang wiki.Language, title string) (*Entity, bool) {
-	for _, ents := range g.Entities {
-		for _, e := range ents {
-			if e.Langs[lang] && e.Titles[lang] == title {
-				return e, true
-			}
-		}
-	}
-	return nil, false
-}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ValueKind is the domain NormalizeValue recognized for an infobox value.
@@ -83,9 +84,8 @@ func (v NormalizedValue) Canonical() string {
 }
 
 // NormalizeValue parses one infobox value atom into its typed normal
-// form: dates in the edition conventions (ISO "1950-12-18", English
-// "December 18, 1950", Portuguese "18 de dezembro de 1950", Vietnamese
-// "18 tháng 12 năm 1950"), numbers with locale-aware thousand/decimal
+// form: dates in the edition conventions, as ParseDate reads them,
+// numbers with locale-aware thousand/decimal
 // separators ("1,234.5" and "1.234,5" both mean 1234.5), and magnitudes
 // carrying units or scale words ("160 min", "2 giờ", "US$ 23 milhões",
 // "23 triệu USD", "5 km"). Anything else falls back to normalized free
@@ -122,6 +122,68 @@ func formatNumber(x float64) string {
 	return s
 }
 
+// SplitValue cuts an infobox value into its atoms at commas outside
+// parentheses. A comma between two digits is a thousands separator
+// ("1,234,567"), not a boundary. Atoms are trimmed, and empty atoms are
+// dropped.
+func SplitValue(v string) []string {
+	var atoms []string
+	depth, last := 0, 0
+	for i := 0; i < len(v); i++ {
+		switch v[i] {
+		case '(':
+			depth++
+		case ')':
+			if depth > 0 {
+				depth--
+			}
+		case ',':
+			if depth > 0 || i > 0 && i+1 < len(v) && isDigit(rune(v[i-1])) && isDigit(rune(v[i+1])) {
+				continue
+			}
+			atoms = appendAtom(atoms, v[last:i])
+			last = i + 1
+		}
+	}
+	return appendAtom(atoms, v[last:])
+}
+
+func appendAtom(atoms []string, a string) []string {
+	if a = strings.TrimSpace(a); a != "" {
+		atoms = append(atoms, a)
+	}
+	return atoms
+}
+
+// ValueAtoms is SplitValue with English dates made whole again: an atom
+// followed by an all-digit atom becomes one atom when the two, joined as
+// "a, b", read as a date ("December 18" + "1950").
+func ValueAtoms(v string) []string {
+	atoms := SplitValue(v)
+	out := atoms[:0]
+	for i := 0; i < len(atoms); i++ {
+		if i+1 < len(atoms) && allDigits(atoms[i+1]) {
+			joined := atoms[i] + ", " + atoms[i+1]
+			if _, ok := ParseDate(joined); ok {
+				out = append(out, joined)
+				i++
+				continue
+			}
+		}
+		out = append(out, atoms[i])
+	}
+	return out
+}
+
+func allDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isDigit(rune(s[i])) {
+			return false
+		}
+	}
+	return s != ""
+}
+
 // monthTable maps folded lowercase month names (English and Portuguese;
 // Vietnamese months are numeric "tháng M") to their ordinal.
 var monthTable = map[string]int{
@@ -133,77 +195,80 @@ var monthTable = map[string]int{
 	"novembro": 11, "dezembro": 12,
 }
 
-// parseDate recognizes the edition date formats over the normalized
-// string.
+// ParseDate reads a calendar date written in any edition's convention
+// and returns it as a ValueDate, whose Canonical form is ISO
+// ("1950-12-18"):
+//
+//	ISO:        "1950-12-18"
+//	English:    "December 18, 1950" / "December 18 1950"
+//	Portuguese: "18 de dezembro de 1950" / "18 de Dezembro 1950"
+//	Vietnamese: "18 tháng 12 năm 1950" / "18 tháng 12 1950"
+//
+// Years run 1–9999. Putting every edition's rendering of a date into one
+// form plays the role the paper's title dictionary plays for date values
+// (day-month pages are cross-linked articles in Wikipedia).
+func ParseDate(s string) (NormalizedValue, bool) {
+	return parseDate(Normalize(s))
+}
+
+// parseDate reads a date from a Normalize'd string. Apart from ISO, it
+// reads the string's Tokenize tokens: three to five of them, which with
+// the connectives "de" and "nam" dropped are [month day year],
+// [day month year] or [day "thang" month year].
 func parseDate(norm string) (NormalizedValue, bool) {
-	fields := strings.Fields(norm)
-	date := func(y, m, d int) (NormalizedValue, bool) {
-		if y < 1 || y > 9999 || m < 1 || m > 12 || d < 1 || d > 31 {
-			return NormalizedValue{}, false
+	if !strings.Contains(norm, " ") {
+		if p := strings.Split(norm, "-"); len(p) == 3 && len(p[0]) == 4 {
+			if v, ok := date(number(p[0]), number(p[1]), number(p[2])); ok {
+				return v, true
+			}
 		}
-		return NormalizedValue{Kind: ValueDate, Year: y, Month: m, Day: d}, true
 	}
-	switch len(fields) {
-	case 1:
-		// ISO "1950-12-18".
-		parts := strings.Split(fields[0], "-")
-		if len(parts) != 3 || len(parts[0]) != 4 {
-			return NormalizedValue{}, false
+	toks := strings.FieldsFunc(norm, func(r rune) bool { return !unicode.IsLetter(r) && !unicode.IsDigit(r) })
+	if len(toks) < 3 || len(toks) > 5 {
+		return NormalizedValue{}, false
+	}
+	parts := toks[:0]
+	for _, t := range toks {
+		if t != "de" && t != "nam" {
+			parts = append(parts, t)
 		}
-		y, okY := atoi(parts[0])
-		m, okM := atoi(parts[1])
-		d, okD := atoi(parts[2])
-		if !okY || !okM || !okD {
-			return NormalizedValue{}, false
-		}
-		return date(y, m, d)
-	case 3:
-		// English "december 18, 1950".
-		m, okM := monthTable[fields[0]]
-		d, okD := atoi(strings.TrimSuffix(fields[1], ","))
-		y, okY := atoi(fields[2])
-		if !okM || !okD || !okY {
-			return NormalizedValue{}, false
-		}
-		return date(y, m, d)
-	case 5:
-		switch {
-		case fields[1] == "de" && fields[3] == "de":
-			// Portuguese "18 de dezembro de 1950".
-			d, okD := atoi(fields[0])
-			m, okM := monthTable[fields[2]]
-			y, okY := atoi(fields[4])
-			if !okD || !okM || !okY {
-				return NormalizedValue{}, false
-			}
-			return date(y, m, d)
-		case fields[1] == "thang" && fields[3] == "nam":
-			// Vietnamese "18 tháng 12 năm 1950" (diacritics folded).
-			d, okD := atoi(fields[0])
-			m, okM := atoi(fields[2])
-			y, okY := atoi(fields[4])
-			if !okD || !okM || !okY {
-				return NormalizedValue{}, false
-			}
-			return date(y, m, d)
-		}
+	}
+	switch {
+	case len(parts) == 4 && parts[1] == "thang":
+		return date(number(parts[3]), number(parts[2]), number(parts[0]))
+	case len(parts) == 3 && monthTable[parts[0]] > 0:
+		return date(number(parts[2]), monthTable[parts[0]], number(parts[1]))
+	case len(parts) == 3 && monthTable[parts[1]] > 0:
+		return date(number(parts[2]), monthTable[parts[1]], number(parts[0]))
 	}
 	return NormalizedValue{}, false
 }
 
-// atoi parses a short all-digit field.
-func atoi(s string) (int, bool) {
-	if s == "" || len(s) > 4 {
-		return 0, false
+// date validates a year, month and day; any of them is -1 when its field
+// did not read as a number.
+func date(y, m, d int) (NormalizedValue, bool) {
+	if y < 1 || y > 9999 || m < 1 || m > 12 || d < 1 || d > 31 {
+		return NormalizedValue{}, false
+	}
+	return NormalizedValue{Kind: ValueDate, Year: y, Month: m, Day: d}, true
+}
+
+// number reads an all-digit date field, leading zeros allowed; it is -1
+// for anything else and for values past 9999, which no field admits.
+func number(s string) int {
+	if s == "" {
+		return -1
 	}
 	n := 0
-	for _, r := range s {
-		if r < '0' || r > '9' {
-			return 0, false
+	for i := 0; i < len(s); i++ {
+		if !isDigit(rune(s[i])) {
+			return -1
 		}
-		n = n*10 + int(r-'0')
+		if n = n*10 + int(s[i]-'0'); n > 9999 {
+			return -1
+		}
 	}
-	return n, true
+	return n
 }
 
 // unitDef converts a written unit word to its canonical base unit.
@@ -229,6 +294,13 @@ var unitWords = map[string]unitDef{
 	"t": {"kg", 1000}, "ton": {"kg", 1000}, "tons": {"kg", 1000},
 	"tonne": {"kg", 1000}, "tonnes": {"kg", 1000},
 	"lb": {"kg", 0.45359237}, "lbs": {"kg", 0.45359237},
+}
+
+// ScaleWord returns the multiplier a spelled-out magnitude word stands
+// for, read as one Tokenize token ("milhoes" → 1e6).
+func ScaleWord(tok string) (float64, bool) {
+	s, ok := scaleWords[tok]
+	return s, ok
 }
 
 // scaleWords are the magnitude multipliers editions spell out:

@@ -1,7 +1,11 @@
 package text
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +21,8 @@ func TestNormalizeValueDates(t *testing.T) {
 		{"1 de março de 2004", 2004, 3, 1},
 		{"May 7, 1971", 1971, 5, 7},
 		{"3 tháng 2 năm 1988", 1988, 2, 3},
+		{"18 de Dezembro 1950", 1950, 12, 18},
+		{"18 tháng 12 1950", 1950, 12, 18},
 	}
 	for _, c := range cases {
 		v := NormalizeValue(c.in)
@@ -176,6 +182,197 @@ func FuzzNormalizeValue(f *testing.F) {
 		}
 		if w.Kind != NormalizeValue(c2).Kind {
 			t.Fatalf("kind unstable on canonical form %q", c2)
+		}
+	})
+}
+
+func TestParseDate(t *testing.T) {
+	cases := []struct {
+		in   string
+		want string
+		ok   bool
+	}{
+		{"December 18, 1950", "1950-12-18", true},
+		{"December 18 1950", "1950-12-18", true},
+		{"18 de dezembro de 1950", "1950-12-18", true},
+		{"18 de Dezembro 1950", "1950-12-18", true},
+		{"18 tháng 12 năm 1950", "1950-12-18", true},
+		{"18 tháng 12 1950", "1950-12-18", true},
+		{"June 4 1975", "1975-06-04", true},
+		{"4 de junho de 1975", "1975-06-04", true},
+		{"1950-12-18", "1950-12-18", true},
+		{"just words", "", false},
+		{"1963", "", false},
+		{"December 40, 1950", "", false},
+		{"0 de dezembro de 1950", "", false},
+		{"160 minutes", "", false},
+	}
+	for _, c := range cases {
+		v, ok := ParseDate(c.in)
+		if got := v.Canonical(); ok != c.ok || ok && got != c.want {
+			t.Errorf("ParseDate(%q) = %q, %v; want %q, %v", c.in, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+func TestValueAtoms(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"Los Angeles (California, USA)", []string{"Los Angeles (California, USA)"}},
+		{"1,234,567", []string{"1,234,567"}},
+		{"December 18, 1950", []string{"December 18, 1950"}},
+		{"Irlanda, 18 de Dezembro de 1950,  Estados Unidos", []string{"Irlanda", "18 de Dezembro de 1950", "Estados Unidos"}},
+		{"Paris, 1950", []string{"Paris", "1950"}},
+		{" , a,,b ,", []string{"a", "b"}},
+		{"", nil},
+	}
+	for _, c := range cases {
+		if got := ValueAtoms(c.in); !slices.Equal(got, c.want) {
+			t.Errorf("ValueAtoms(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+	// SplitValue does not re-join dates.
+	if got, want := SplitValue("December 18, 1950"), []string{"December 18", "1950"}; !slices.Equal(got, want) {
+		t.Errorf("SplitValue = %q, want %q", got, want)
+	}
+}
+
+// oracleMonths is the month table both date oracles below read.
+var oracleMonths = map[string]int{
+	"january": 1, "february": 2, "march": 3, "april": 4, "may": 5,
+	"june": 6, "july": 7, "august": 8, "september": 9, "october": 10,
+	"november": 11, "december": 12,
+	"janeiro": 1, "fevereiro": 2, "marco": 3, "abril": 4, "maio": 5,
+	"junho": 6, "julho": 7, "agosto": 8, "setembro": 9, "outubro": 10,
+	"novembro": 11, "dezembro": 12,
+}
+
+// tokenDateOracle is the token-grammar date reader vsim used before
+// ParseDate: month/day/year shapes over Tokenize tokens, "de" and "nam"
+// dropped, years 100–3000.
+func tokenDateOracle(term string) (string, bool) {
+	toks := Tokenize(term)
+	if len(toks) < 3 || len(toks) > 5 {
+		return "", false
+	}
+	var parts []string
+	for _, t := range toks {
+		if t == "de" || t == "nam" {
+			continue
+		}
+		parts = append(parts, t)
+	}
+	if len(parts) != 3 && !(len(parts) == 4 && parts[1] == "thang") {
+		return "", false
+	}
+	atoiOr := func(s string) int {
+		v, err := strconv.Atoi(s)
+		if err != nil {
+			return -1
+		}
+		return v
+	}
+	var day, month, year int
+	switch {
+	case len(parts) == 4 && parts[1] == "thang":
+		day, month, year = atoiOr(parts[0]), atoiOr(parts[2]), atoiOr(parts[3])
+	case len(parts) == 3 && oracleMonths[parts[0]] > 0:
+		month, day, year = oracleMonths[parts[0]], atoiOr(parts[1]), atoiOr(parts[2])
+	case len(parts) == 3 && oracleMonths[parts[1]] > 0:
+		day, month, year = atoiOr(parts[0]), oracleMonths[parts[1]], atoiOr(parts[2])
+	default:
+		return "", false
+	}
+	if day < 1 || day > 31 || month < 1 || month > 12 || year < 100 || year > 3000 {
+		return "", false
+	}
+	return fmt.Sprintf("%04d-%02d-%02d", year, month, day), true
+}
+
+// fieldDateOracle is the field-grammar date reader NormalizeValue used
+// before ParseDate: ISO, English and the exact Portuguese and Vietnamese
+// forms over the whitespace fields of the normalized string.
+func fieldDateOracle(s string) (string, bool) {
+	fields := strings.Fields(Normalize(s))
+	atoi := func(s string) (int, bool) {
+		if s == "" || len(s) > 4 {
+			return 0, false
+		}
+		n := 0
+		for _, r := range s {
+			if r < '0' || r > '9' {
+				return 0, false
+			}
+			n = n*10 + int(r-'0')
+		}
+		return n, true
+	}
+	date := func(y, m, d int, ok bool) (string, bool) {
+		if !ok || y < 1 || y > 9999 || m < 1 || m > 12 || d < 1 || d > 31 {
+			return "", false
+		}
+		return fmt.Sprintf("%04d-%02d-%02d", y, m, d), true
+	}
+	switch len(fields) {
+	case 1:
+		parts := strings.Split(fields[0], "-")
+		if len(parts) != 3 || len(parts[0]) != 4 {
+			return "", false
+		}
+		y, okY := atoi(parts[0])
+		m, okM := atoi(parts[1])
+		d, okD := atoi(parts[2])
+		return date(y, m, d, okY && okM && okD)
+	case 3:
+		m, okM := oracleMonths[fields[0]]
+		d, okD := atoi(strings.TrimSuffix(fields[1], ","))
+		y, okY := atoi(fields[2])
+		return date(y, m, d, okM && okD && okY)
+	case 5:
+		switch {
+		case fields[1] == "de" && fields[3] == "de":
+			d, okD := atoi(fields[0])
+			m, okM := oracleMonths[fields[2]]
+			y, okY := atoi(fields[4])
+			return date(y, m, d, okD && okM && okY)
+		case fields[1] == "thang" && fields[3] == "nam":
+			d, okD := atoi(fields[0])
+			m, okM := atoi(fields[2])
+			y, okY := atoi(fields[4])
+			return date(y, m, d, okD && okM && okY)
+		}
+	}
+	return "", false
+}
+
+// FuzzParseDate requires ParseDate to accept every input either oracle
+// accepts, with the same ISO date (the field oracle's where the two
+// disagree), and ValueAtoms to return only trimmed, non-empty atoms.
+func FuzzParseDate(f *testing.F) {
+	for _, s := range []string{
+		"December 18, 1950", "December 18 1950", "18 de dezembro de 1950",
+		"18 de Dezembro 1950", "18 tháng 12 năm 1950", "18 tháng 12 1950",
+		"June 4 1975", "4 de junho de 1975", "just words", "1963",
+		"December 40, 1950", "0 de dezembro de 1950", "160 minutes",
+		"1950-12-18", "December 18, 50", "Los Angeles (California, USA), 1,234",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, ok := ParseDate(s)
+		want, wantOK := fieldDateOracle(s)
+		if !wantOK {
+			want, wantOK = tokenDateOracle(s)
+		}
+		if wantOK && (!ok || v.Canonical() != want) {
+			t.Fatalf("ParseDate(%q) = %q, %v; oracle %q", s, v.Canonical(), ok, want)
+		}
+		for _, a := range ValueAtoms(s) {
+			if a == "" || a != strings.TrimSpace(a) {
+				t.Fatalf("ValueAtoms(%q) has atom %q", s, a)
+			}
 		}
 	})
 }
