@@ -5,10 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/synth"
-	"repro/internal/wiki"
 )
 
 // TestDumpsToMatchingIntegration drives the on-disk pipeline end to end:
@@ -58,39 +54,6 @@ func TestDumpsToMatchingIntegration(t *testing.T) {
 				t.Fatalf("type %v pair %d: %v vs %v", tp, i, a[i], b[i])
 			}
 		}
-	}
-}
-
-// TestCategoryTypingIntegration re-types a template-stripped corpus from
-// its categories (the paper's alternative typing mechanism) and checks
-// entity-type matching still succeeds.
-func TestCategoryTypingIntegration(t *testing.T) {
-	corpus, _, err := GenerateCorpus(SmallCorpus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the corpus with article types blanked, as if the infobox
-	// templates had been unusable.
-	stripped := wiki.NewCorpus()
-	for _, lang := range corpus.Languages() {
-		for _, a := range corpus.Articles(lang) {
-			cp := a.Clone()
-			cp.Type = ""
-			if err := stripped.Add(cp); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got := len(stripped.Types(Portuguese)); got != 0 {
-		t.Fatalf("stripped corpus still has %d types", got)
-	}
-	n := stripped.AssignTypesFromCategories(synth.CategoryTypes())
-	if n == 0 {
-		t.Fatal("no articles typed from categories")
-	}
-	pairs := core.MatchEntityTypes(stripped, wiki.PtEn)
-	if len(pairs) != 14 {
-		t.Fatalf("type pairs after category typing = %d, want 14", len(pairs))
 	}
 }
 

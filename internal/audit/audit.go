@@ -647,12 +647,12 @@ func (a *auditor) matchText(group map[wiki.Language]*wiki.Article, la wiki.Langu
 	ta, okA := a.resolveTitle(la, p)
 	tb, okB := a.resolveTitle(lb, q)
 	if okA {
-		if x, ok := a.crossTitle(la, ta, lb); ok && (x == tb || x == q.raw) {
+		if x, ok := a.corpus.CrossTitle(la, ta, lb); ok && (x == tb || x == q.raw) {
 			return true, "", 0
 		}
 	}
 	if okB {
-		if x, ok := a.crossTitle(lb, tb, la); ok && (x == ta || x == p.raw) {
+		if x, ok := a.corpus.CrossTitle(lb, tb, la); ok && (x == ta || x == p.raw) {
 			return true, "", 0
 		}
 	}
@@ -675,20 +675,6 @@ func (a *auditor) resolveTitle(lang wiki.Language, p part) (string, bool) {
 	}
 	if t, ok := a.anchors[lang][p.raw]; ok {
 		return t, true
-	}
-	return "", false
-}
-
-// crossTitle follows cross-language links from (lang, title) to the
-// other edition, in either direction.
-func (a *auditor) crossTitle(lang wiki.Language, title string, other wiki.Language) (string, bool) {
-	if art, ok := a.corpus.Get(lang, title); ok {
-		if x, ok := art.CrossLink(other); ok {
-			return x, true
-		}
-	}
-	if x, ok := a.corpus.ReverseCrossLink(lang, title, other); ok {
-		return x, true
 	}
 	return "", false
 }

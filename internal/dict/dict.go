@@ -151,21 +151,6 @@ func FromEntries(from, to wiki.Language, entries [][2]string) *Dictionary {
 	return d
 }
 
-// Invert returns the reverse-direction dictionary. When several source
-// titles map to the same target, the lexicographically smallest source
-// wins, making inversion deterministic.
-func (d *Dictionary) Invert() *Dictionary {
-	inv := New(d.To, d.From)
-	for _, e := range d.Entries() {
-		key := text.Normalize(e[1])
-		if cur, dup := inv.entries[key]; dup && cur <= e[0] {
-			continue
-		}
-		inv.entries[key] = e[0]
-	}
-	return inv
-}
-
 // LabelTranslator is a dictionary-backed stand-in for an external machine
 // translation system operating on attribute labels. A non-zero ErrorRate
 // makes the translator deterministically (per seed) emit a wrong-but-

@@ -2,7 +2,6 @@ package dict
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/wiki"
 )
@@ -62,32 +61,6 @@ func TestAddIgnoresEmpty(t *testing.T) {
 	d.Add("  ", "z")
 	if d.Len() != 0 {
 		t.Errorf("len = %d", d.Len())
-	}
-}
-
-func TestInvert(t *testing.T) {
-	d := New(wiki.Portuguese, wiki.English)
-	d.Add("Irlanda", "Ireland")
-	d.Add("Estados Unidos", "United States")
-	inv := d.Invert()
-	if inv.From != wiki.English || inv.To != wiki.Portuguese {
-		t.Errorf("direction = %s→%s", inv.From, inv.To)
-	}
-	if got, ok := inv.Translate("Ireland"); !ok || got != "irlanda" {
-		t.Errorf("inverted = %q, %v", got, ok)
-	}
-}
-
-func TestInvertDeterministicOnCollision(t *testing.T) {
-	prop := func(seed uint8) bool {
-		d := New(wiki.Portuguese, wiki.English)
-		d.Add("alpha", "Same")
-		d.Add("beta", "Same")
-		got, _ := d.Invert().Translate("Same")
-		return got == "alpha"
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 5}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -85,21 +85,6 @@ func (r *Reader) Next() (Page, error) {
 	}
 }
 
-// All reads every remaining page.
-func (r *Reader) All() ([]Page, error) {
-	var pages []Page
-	for {
-		p, err := r.Next()
-		if err == io.EOF {
-			return pages, nil
-		}
-		if err != nil {
-			return pages, err
-		}
-		pages = append(pages, p)
-	}
-}
-
 // Writer streams pages into a MediaWiki XML dump.
 type Writer struct {
 	w      io.Writer

@@ -29,7 +29,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		t.Error("expected write-after-close error")
 	}
 
-	got, err := NewReader(&buf).All()
+	got, err := readAll(NewReader(&buf))
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestCorpusDumpRoundTrip(t *testing.T) {
 		if err := WriteCorpus(&buf, orig, lang); err != nil {
 			t.Fatalf("WriteCorpus(%s): %v", lang, err)
 		}
-		pages, err := NewReader(&buf).All()
+		pages, err := readAll(NewReader(&buf))
 		if err != nil {
 			t.Fatalf("read %s: %v", lang, err)
 		}
@@ -127,5 +127,20 @@ func TestCorpusDumpRoundTrip(t *testing.T) {
 	dir, ok := gotEn.Infobox.Get("directed by")
 	if !ok || len(dir.Links) != 1 {
 		t.Errorf("round-trip links = %+v", dir)
+	}
+}
+
+// readAll reads every remaining page of r.
+func readAll(r *Reader) ([]Page, error) {
+	var pages []Page
+	for {
+		p, err := r.Next()
+		if err == io.EOF {
+			return pages, nil
+		}
+		if err != nil {
+			return pages, err
+		}
+		pages = append(pages, p)
 	}
 }

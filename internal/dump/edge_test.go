@@ -12,7 +12,7 @@ func TestReaderTakesLatestRevision(t *testing.T) {
 <revision><id>1</id><text>old text</text></revision>
 <revision><id>2</id><text>new text</text></revision>
 </page></mediawiki>`
-	pages, err := NewReader(strings.NewReader(doc)).All()
+	pages, err := readAll(NewReader(strings.NewReader(doc)))
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}
@@ -23,7 +23,7 @@ func TestReaderTakesLatestRevision(t *testing.T) {
 
 func TestReaderPageWithoutRevision(t *testing.T) {
 	doc := `<mediawiki xml:lang="en"><page><title>X</title><ns>0</ns><id>1</id></page></mediawiki>`
-	pages, err := NewReader(strings.NewReader(doc)).All()
+	pages, err := readAll(NewReader(strings.NewReader(doc)))
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestReaderAssignsSequentialIDsWhenMissing(t *testing.T) {
 <page><title>A</title><ns>0</ns><revision><text>a</text></revision></page>
 <page><title>B</title><ns>0</ns><revision><text>b</text></revision></page>
 </mediawiki>`
-	pages, err := NewReader(strings.NewReader(doc)).All()
+	pages, err := readAll(NewReader(strings.NewReader(doc)))
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestReaderIgnoresUnknownElements(t *testing.T) {
 	doc := `<mediawiki xml:lang="en"><unknown><deep>stuff</deep></unknown>
 <page><title>X</title><ns>0</ns><id>1</id><revision><id>1</id><text>t</text></revision></page>
 </mediawiki>`
-	pages, err := NewReader(strings.NewReader(doc)).All()
+	pages, err := readAll(NewReader(strings.NewReader(doc)))
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestWriterEmptyDumpIsValid(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	pages, err := NewReader(strings.NewReader(b.String())).All()
+	pages, err := readAll(NewReader(strings.NewReader(b.String())))
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestReaderRedirectPage(t *testing.T) {
 <revision><id>1</id><text>#REDIRECT [[United Kingdom]]</text></revision></page>
 <page><title>United Kingdom</title><ns>0</ns><id>2</id><revision><id>2</id><text>plain</text></revision></page>
 </mediawiki>`
-	pages, err := NewReader(strings.NewReader(doc)).All()
+	pages, err := readAll(NewReader(strings.NewReader(doc)))
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -248,5 +251,40 @@ func TestRenderAll(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/render_all.golden from a live render")
+
+// TestRenderAllGolden pins every table and figure the paper corpus
+// renders: the bytes `benchall -scale full -run all` prints. Regenerate
+// with
+//
+//	go test ./internal/experiments -run TestRenderAllGolden -update
+func TestRenderAllGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale render is slow")
+	}
+	s, err := NewSetup(synth.DefaultConfig())
+	if err != nil {
+		t.Fatalf("NewSetup: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := RenderAll(&buf, s, core.DefaultConfig()); err != nil {
+		t.Fatalf("RenderAll: %v", err)
+	}
+	path := filepath.Join("testdata", "render_all.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("RenderAll output differs from %s (regenerate with -update if intended):\n%s", path, buf.String())
 	}
 }

@@ -144,20 +144,6 @@ func (g *graph) run(cfg Config) int {
 	return iters
 }
 
-// Scores returns every cross-language pair with its converged
-// similarity.
-func Scores(td *sim.TypeData, cfg Config) []eval.RankedPair {
-	g := build(td, cfg)
-	g.run(cfg)
-	out := make([]eval.RankedPair, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		out = append(out, eval.RankedPair{
-			A: td.Attrs[n.i].Name, B: td.Attrs[n.j].Name, Score: n.sigma,
-		})
-	}
-	return out
-}
-
 // Match runs similarity flooding and selects correspondences: per
 // source attribute, the candidates within SelectThreshold of the row
 // maximum, provided they carry non-zero initial evidence.

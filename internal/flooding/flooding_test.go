@@ -82,7 +82,7 @@ func TestFloodingPropagationHelps(t *testing.T) {
 	// also true pairs: compare MAP of converged scores vs initial scores.
 	td, truth := filmData(t)
 	cfg := DefaultConfig()
-	converged := Scores(td, cfg)
+	converged := scores(td, cfg)
 	var initial []eval.RankedPair
 	for _, p := range td.CrossPairs() {
 		init := td.VSim(p[0], p[1])
@@ -118,4 +118,18 @@ func TestSelectThresholdWidens(t *testing.T) {
 	if b.Pairs() < a.Pairs() {
 		t.Errorf("looser selection found fewer pairs: %d < %d", b.Pairs(), a.Pairs())
 	}
+}
+
+// scores returns every cross-language pair with its converged
+// similarity.
+func scores(td *sim.TypeData, cfg Config) []eval.RankedPair {
+	g := build(td, cfg)
+	g.run(cfg)
+	out := make([]eval.RankedPair, 0, len(g.nodes))
+	for _, n := range g.nodes {
+		out = append(out, eval.RankedPair{
+			A: td.Attrs[n.i].Name, B: td.Attrs[n.j].Name, Score: n.sigma,
+		})
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,14 +15,6 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) != 1 || m.At(1, 2) != 5 || m.At(0, 1) != 0 {
 		t.Errorf("At/Set broken: %v", m.Data)
 	}
-	row := m.Row(1)
-	if len(row) != 3 || row[2] != 5 {
-		t.Errorf("Row = %v", row)
-	}
-	col := m.Col(2)
-	if len(col) != 2 || col[1] != 5 {
-		t.Errorf("Col = %v", col)
-	}
 	tr := m.Transpose()
 	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 5 {
 		t.Errorf("Transpose = %v", tr)
@@ -29,11 +22,11 @@ func TestMatrixBasics(t *testing.T) {
 }
 
 func TestMatrixMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	c := a.Mul(b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	if c.MaxAbsDiff(want) > 1e-12 {
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
+	if maxAbsDiff(c, want) > 1e-12 {
 		t.Errorf("Mul =\n%v", c)
 	}
 }
@@ -47,17 +40,8 @@ func TestMatrixMulPanicsOnMismatch(t *testing.T) {
 	NewMatrix(2, 3).Mul(NewMatrix(2, 3))
 }
 
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestSVDKnownDiagonal(t *testing.T) {
-	a := FromRows([][]float64{{3, 0}, {0, 4}})
+	a := fromRows([][]float64{{3, 0}, {0, 4}})
 	d := ComputeSVD(a)
 	if len(d.S) != 2 || math.Abs(d.S[0]-4) > 1e-9 || math.Abs(d.S[1]-3) > 1e-9 {
 		t.Errorf("singular values = %v, want [4 3]", d.S)
@@ -66,7 +50,7 @@ func TestSVDKnownDiagonal(t *testing.T) {
 
 func TestSVDKnownRankOne(t *testing.T) {
 	// A = u·vᵀ with |u| = sqrt(5), |v| = sqrt(2): σ1 = sqrt(10), σ2 = 0.
-	a := FromRows([][]float64{{1, 1}, {2, 2}})
+	a := fromRows([][]float64{{1, 1}, {2, 2}})
 	d := ComputeSVD(a)
 	if math.Abs(d.S[0]-math.Sqrt(10)) > 1e-9 {
 		t.Errorf("σ1 = %v, want sqrt(10)", d.S[0])
@@ -74,6 +58,41 @@ func TestSVDKnownRankOne(t *testing.T) {
 	if math.Abs(d.S[1]) > 1e-9 {
 		t.Errorf("σ2 = %v, want 0", d.S[1])
 	}
+}
+
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for r, row := range rows {
+		if len(row) != m.Cols {
+			panic(fmt.Sprintf("linalg: ragged row %d: %d != %d", r, len(row), m.Cols))
+		}
+		copy(m.Data[r*m.Cols:(r+1)*m.Cols], row)
+	}
+	return m
+}
+
+// maxAbsDiff returns max |m−n| over all elements of two same-shape
+// matrices.
+func maxAbsDiff(m, n *Matrix) float64 {
+	if m.Rows != n.Rows || m.Cols != n.Cols {
+		panic("linalg: maxAbsDiff shape mismatch")
+	}
+	var d float64
+	for i := range m.Data {
+		if x := math.Abs(m.Data[i] - n.Data[i]); x > d {
+			d = x
+		}
+	}
+	return d
+}
+
+// reconstruct returns U · diag(S) · Vᵀ.
+func reconstruct(d *SVD) *Matrix {
+	return d.ScaledU().Mul(d.V.Transpose())
 }
 
 func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
@@ -89,7 +108,7 @@ func TestSVDReconstruction(t *testing.T) {
 	for _, dims := range [][2]int{{4, 4}, {6, 3}, {3, 6}, {10, 2}, {1, 5}, {5, 1}} {
 		a := randomMatrix(rng, dims[0], dims[1])
 		d := ComputeSVD(a)
-		if diff := d.Reconstruct().MaxAbsDiff(a); diff > 1e-8 {
+		if diff := maxAbsDiff(reconstruct(d), a); diff > 1e-8 {
 			t.Errorf("%dx%d: reconstruction error %g", dims[0], dims[1], diff)
 		}
 	}
@@ -151,7 +170,7 @@ func TestSVDTruncateIsBestRankK(t *testing.T) {
 	for _, s := range full.S[k:] {
 		wantSq += s * s
 	}
-	diff := trunc.Reconstruct()
+	diff := reconstruct(trunc)
 	var gotSq float64
 	for i := range diff.Data {
 		d := diff.Data[i] - a.Data[i]
@@ -169,7 +188,7 @@ func TestSVDZeroMatrix(t *testing.T) {
 			t.Errorf("zero matrix σ = %v", d.S)
 		}
 	}
-	if diff := d.Reconstruct().MaxAbsDiff(NewMatrix(3, 2)); diff != 0 {
+	if diff := maxAbsDiff(reconstruct(d), NewMatrix(3, 2)); diff != 0 {
 		t.Errorf("zero reconstruction diff = %v", diff)
 	}
 }
@@ -194,7 +213,7 @@ func TestJacobiConvergesOnRankDeficientInput(t *testing.T) {
 			copy(a.Data[(3*d+r)*a.Cols:], row)
 		}
 	}
-	sp := SparseFromDense(a)
+	sp := sparseFromDense(a)
 	for _, tc := range []struct {
 		name string
 		m    *Matrix
@@ -207,7 +226,7 @@ func TestJacobiConvergesOnRankDeficientInput(t *testing.T) {
 			t.Errorf("%s: Jacobi ran %d sweeps, the cap", tc.name, sweeps)
 		}
 		d := &SVD{U: u, S: s, V: v}
-		if diff := d.Reconstruct().MaxAbsDiff(tc.m); diff > 1e-9 {
+		if diff := maxAbsDiff(reconstruct(d), tc.m); diff > 1e-9 {
 			t.Errorf("%s: reconstruction diff = %v", tc.name, diff)
 		}
 	}
@@ -227,17 +246,17 @@ func TestSVDEmptyMatrix(t *testing.T) {
 }
 
 func TestScaledU(t *testing.T) {
-	a := FromRows([][]float64{{2, 0}, {0, 1}})
+	a := fromRows([][]float64{{2, 0}, {0, 1}})
 	d := ComputeSVD(a)
 	us := d.ScaledU()
 	rec := us.Mul(d.V.Transpose())
-	if rec.MaxAbsDiff(a) > 1e-9 {
+	if maxAbsDiff(rec, a) > 1e-9 {
 		t.Errorf("ScaledU·Vᵀ ≠ A:\n%v", rec)
 	}
 }
 
 func TestCosineRows(t *testing.T) {
-	m := FromRows([][]float64{{1, 0}, {0, 1}, {2, 0}, {0, 0}})
+	m := fromRows([][]float64{{1, 0}, {0, 1}, {2, 0}, {0, 0}})
 	if c := CosineRows(m, 0, 2); math.Abs(c-1) > 1e-12 {
 		t.Errorf("parallel rows cosine = %v", c)
 	}

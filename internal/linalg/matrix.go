@@ -26,42 +26,11 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for r, row := range rows {
-		if len(row) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: %d != %d", r, len(row), m.Cols))
-		}
-		copy(m.Data[r*m.Cols:(r+1)*m.Cols], row)
-	}
-	return m
-}
-
 // At returns element (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
 // Set assigns element (r, c).
 func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
-// Row returns a copy of row r.
-func (m *Matrix) Row(r int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[r*m.Cols:(r+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column c.
-func (m *Matrix) Col(c int) []float64 {
-	out := make([]float64, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = m.Data[r*m.Cols+c]
-	}
-	return out
-}
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
@@ -113,21 +82,6 @@ func (m *Matrix) ScaleCols(s []float64) {
 	}
 }
 
-// MaxAbsDiff returns max |m−n| over all elements; matrices must be the
-// same shape.
-func (m *Matrix) MaxAbsDiff(n *Matrix) float64 {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		panic("linalg: MaxAbsDiff shape mismatch")
-	}
-	var d float64
-	for i := range m.Data {
-		if x := math.Abs(m.Data[i] - n.Data[i]); x > d {
-			d = x
-		}
-	}
-	return d
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -142,18 +96,6 @@ func (m *Matrix) String() string {
 	}
 	return b.String()
 }
-
-// Dot returns the dot product of two equal-length slices.
-func Dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean norm of v.
-func Norm(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
 // CosineRows returns the cosine similarity of rows i and j of m, or 0 if
 // either row is zero.

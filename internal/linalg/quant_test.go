@@ -57,7 +57,7 @@ func TestQuantizedRowsBoundRandom(t *testing.T) {
 
 func TestQuantizedRowsBoundHostile(t *testing.T) {
 	tiny := math.SmallestNonzeroFloat64
-	m := FromRows([][]float64{
+	m := fromRows([][]float64{
 		{0, 0, 0, 0},                     // zero row
 		{1, 2, 3, 4},                     // plain integers
 		{-1, -2, -3, -4},                 // negated copy: cosine −1 with row 1

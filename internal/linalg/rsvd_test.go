@@ -49,7 +49,7 @@ func TestRandomizedSVDSingularValuesMatchJacobi(t *testing.T) {
 	} {
 		var sp *Sparse
 		if tc.density >= 1 {
-			sp = SparseFromDense(randomMatrix(rng, tc.rows, tc.cols))
+			sp = sparseFromDense(randomMatrix(rng, tc.rows, tc.cols))
 		} else {
 			sp = randomSparse(rng, tc.rows, tc.cols, tc.density)
 		}
@@ -75,7 +75,7 @@ func TestRandomizedSVDSubspaceAnglesMatchJacobi(t *testing.T) {
 	const k = 5
 	for _, dims := range [][2]int{{80, 50}, {50, 130}} {
 		a := gappedMatrix(rng, dims[0], dims[1], spec)
-		sp := SparseFromDense(a)
+		sp := sparseFromDense(a)
 		exact := ComputeSVD(a).Truncate(k)
 		fast := RandomizedSVD(sp, k)
 		if sinU := subspaceSin(exact.U, fast.U); sinU > 1e-6 {
@@ -127,7 +127,7 @@ func TestRandomizedSVDNearOptimalReconstruction(t *testing.T) {
 	for _, s := range exact.S[k:] {
 		bestSq += s * s
 	}
-	rec := RandomizedSVD(sp, k).Reconstruct()
+	rec := reconstruct(RandomizedSVD(sp, k))
 	a := sp.Dense()
 	var gotSq float64
 	for i := range rec.Data {
@@ -149,7 +149,7 @@ func TestRandomizedSVDDeterministic(t *testing.T) {
 			t.Fatalf("σ%d differs across runs: %v vs %v", i, a.S[i], b.S[i])
 		}
 	}
-	if a.U.MaxAbsDiff(b.U) != 0 || a.V.MaxAbsDiff(b.V) != 0 {
+	if maxAbsDiff(a.U, b.U) != 0 || maxAbsDiff(a.V, b.V) != 0 {
 		t.Fatal("factors differ across runs with the same seed")
 	}
 	c := randomizedSVD(sp, 7, 99)
@@ -183,10 +183,10 @@ func TestRandomizedSVDFactorOrthogonality(t *testing.T) {
 func TestSparseTruncatedSVDTinyFallsBackToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	dense := randomMatrix(rng, 12, 9) // 108 cells — well under the cutoff
-	sp := SparseFromDense(dense)
+	sp := sparseFromDense(dense)
 	got := SparseTruncatedSVD(sp, 4)
 	want := TruncatedSVD(dense, 4)
-	if got.U.MaxAbsDiff(want.U) != 0 || got.V.MaxAbsDiff(want.V) != 0 {
+	if maxAbsDiff(got.U, want.U) != 0 || maxAbsDiff(got.V, want.V) != 0 {
 		t.Error("tiny input did not take the exact Jacobi path")
 	}
 	for i := range want.S {

@@ -63,31 +63,8 @@ func NewSparse(rows, cols int, entries []Entry) *Sparse {
 	return s
 }
 
-// SparseFromDense converts a dense matrix, dropping zeros.
-func SparseFromDense(m *Matrix) *Sparse {
-	var entries []Entry
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			if v := m.Data[r*m.Cols+c]; v != 0 {
-				entries = append(entries, Entry{Row: r, Col: c, Val: v})
-			}
-		}
-	}
-	return NewSparse(m.Rows, m.Cols, entries)
-}
-
 // NNZ returns the number of stored (nonzero) entries.
 func (s *Sparse) NNZ() int { return len(s.Val) }
-
-// At returns element (r, c) by binary search within the row.
-func (s *Sparse) At(r, c int) float64 {
-	lo, hi := s.RowPtr[r], s.RowPtr[r+1]
-	i := lo + sort.SearchInts(s.ColIdx[lo:hi], c)
-	if i < hi && s.ColIdx[i] == c {
-		return s.Val[i]
-	}
-	return 0
-}
 
 // Dense materializes the matrix.
 func (s *Sparse) Dense() *Matrix {
@@ -98,40 +75,6 @@ func (s *Sparse) Dense() *Matrix {
 		}
 	}
 	return m
-}
-
-// MulVec returns y = A·x. len(x) must equal Cols.
-func (s *Sparse) MulVec(x []float64) []float64 {
-	if len(x) != s.Cols {
-		panic(fmt.Sprintf("linalg: MulVec length %d != %d cols", len(x), s.Cols))
-	}
-	y := make([]float64, s.Rows)
-	for r := 0; r < s.Rows; r++ {
-		var sum float64
-		for i := s.RowPtr[r]; i < s.RowPtr[r+1]; i++ {
-			sum += s.Val[i] * x[s.ColIdx[i]]
-		}
-		y[r] = sum
-	}
-	return y
-}
-
-// MulVecT returns y = Aᵀ·x. len(x) must equal Rows.
-func (s *Sparse) MulVecT(x []float64) []float64 {
-	if len(x) != s.Rows {
-		panic(fmt.Sprintf("linalg: MulVecT length %d != %d rows", len(x), s.Rows))
-	}
-	y := make([]float64, s.Cols)
-	for r := 0; r < s.Rows; r++ {
-		xr := x[r]
-		if xr == 0 {
-			continue
-		}
-		for i := s.RowPtr[r]; i < s.RowPtr[r+1]; i++ {
-			y[s.ColIdx[i]] += s.Val[i] * xr
-		}
-	}
-	return y
 }
 
 // MulDense returns A·B for dense B (Cols×k), in O(nnz·k).

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -30,13 +29,14 @@ func TestSparseConstructionCanonical(t *testing.T) {
 	if s.NNZ() != 3 {
 		t.Fatalf("NNZ = %d, want 3", s.NNZ())
 	}
-	if got := s.At(2, 1); got != 3 {
+	d := s.Dense()
+	if got := d.At(2, 1); got != 3 {
 		t.Errorf("At(2,1) = %v, want 3 (summed duplicate)", got)
 	}
-	if got := s.At(1, 2); got != 0 {
+	if got := d.At(1, 2); got != 0 {
 		t.Errorf("At(1,2) = %v, want 0 (cancelled)", got)
 	}
-	if got := s.At(0, 0); got != 2 {
+	if got := d.At(0, 0); got != 2 {
 		t.Errorf("At(0,0) = %v", got)
 	}
 	// Column indices sorted within each row.
@@ -58,6 +58,19 @@ func TestSparseOutOfRangePanics(t *testing.T) {
 	NewSparse(2, 2, []Entry{{Row: 2, Col: 0, Val: 1}})
 }
 
+// sparseFromDense converts a dense matrix, dropping zeros.
+func sparseFromDense(m *Matrix) *Sparse {
+	var entries []Entry
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			if v := m.Data[r*m.Cols+c]; v != 0 {
+				entries = append(entries, Entry{Row: r, Col: c, Val: v})
+			}
+		}
+	}
+	return NewSparse(m.Rows, m.Cols, entries)
+}
+
 func TestSparseDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomMatrix(rng, 7, 5)
@@ -65,44 +78,9 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 	for i := 0; i < len(a.Data); i += 3 {
 		a.Data[i] = 0
 	}
-	s := SparseFromDense(a)
-	if diff := s.Dense().MaxAbsDiff(a); diff != 0 {
+	s := sparseFromDense(a)
+	if diff := maxAbsDiff(s.Dense(), a); diff != 0 {
 		t.Errorf("round trip diff = %v", diff)
-	}
-	for r := 0; r < a.Rows; r++ {
-		for c := 0; c < a.Cols; c++ {
-			if s.At(r, c) != a.At(r, c) {
-				t.Fatalf("At(%d,%d) = %v, want %v", r, c, s.At(r, c), a.At(r, c))
-			}
-		}
-	}
-}
-
-func TestSparseMulVecAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := randomSparse(rng, 9, 6, 0.4)
-	d := s.Dense()
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := s.MulVec(x)
-	for r := 0; r < 9; r++ {
-		want := Dot(d.Row(r), x)
-		if math.Abs(y[r]-want) > 1e-12 {
-			t.Errorf("MulVec[%d] = %v, want %v", r, y[r], want)
-		}
-	}
-	xt := make([]float64, 9)
-	for i := range xt {
-		xt[i] = rng.NormFloat64()
-	}
-	yt := s.MulVecT(xt)
-	for c := 0; c < 6; c++ {
-		want := Dot(d.Col(c), xt)
-		if math.Abs(yt[c]-want) > 1e-12 {
-			t.Errorf("MulVecT[%d] = %v, want %v", c, yt[c], want)
-		}
 	}
 }
 
@@ -110,11 +88,11 @@ func TestSparseMulDenseAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := randomSparse(rng, 8, 10, 0.3)
 	b := randomMatrix(rng, 10, 4)
-	if diff := s.MulDense(b).MaxAbsDiff(s.Dense().Mul(b)); diff > 1e-12 {
+	if diff := maxAbsDiff(s.MulDense(b), s.Dense().Mul(b)); diff > 1e-12 {
 		t.Errorf("MulDense diff = %v", diff)
 	}
 	bt := randomMatrix(rng, 8, 3)
-	if diff := s.TMulDense(bt).MaxAbsDiff(s.Dense().Transpose().Mul(bt)); diff > 1e-12 {
+	if diff := maxAbsDiff(s.TMulDense(bt), s.Dense().Transpose().Mul(bt)); diff > 1e-12 {
 		t.Errorf("TMulDense diff = %v", diff)
 	}
 }
@@ -125,7 +103,7 @@ func TestSparseMulSparseAgainstDense(t *testing.T) {
 	b := randomSparse(rng, 9, 7, 0.35)
 	got := a.MulSparse(b).Dense()
 	want := a.Dense().Mul(b.Dense())
-	if diff := got.MaxAbsDiff(want); diff > 1e-12 {
+	if diff := maxAbsDiff(got, want); diff > 1e-12 {
 		t.Errorf("MulSparse diff = %v", diff)
 	}
 }
@@ -133,7 +111,7 @@ func TestSparseMulSparseAgainstDense(t *testing.T) {
 func TestSparseTransposeAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := randomSparse(rng, 5, 11, 0.3)
-	if diff := s.Transpose().Dense().MaxAbsDiff(s.Dense().Transpose()); diff != 0 {
+	if diff := maxAbsDiff(s.Transpose().Dense(), s.Dense().Transpose()); diff != 0 {
 		t.Errorf("Transpose diff = %v", diff)
 	}
 }
@@ -141,8 +119,6 @@ func TestSparseTransposeAgainstDense(t *testing.T) {
 func TestSparseDimensionMismatchPanics(t *testing.T) {
 	s := NewSparse(2, 3, nil)
 	for name, fn := range map[string]func(){
-		"MulVec":    func() { s.MulVec(make([]float64, 2)) },
-		"MulVecT":   func() { s.MulVecT(make([]float64, 3)) },
 		"MulDense":  func() { s.MulDense(NewMatrix(2, 2)) },
 		"TMulDense": func() { s.TMulDense(NewMatrix(3, 2)) },
 		"MulSparse": func() { s.MulSparse(NewSparse(2, 2, nil)) },

@@ -30,13 +30,6 @@ func (d *SVD) Truncate(k int) *SVD {
 	return &SVD{U: d.U.Truncate(k), S: append([]float64(nil), d.S[:k]...), V: d.V.Truncate(k)}
 }
 
-// Reconstruct returns U · diag(S) · Vᵀ.
-func (d *SVD) Reconstruct() *Matrix {
-	us := d.U.Clone()
-	us.ScaleCols(d.S)
-	return us.Mul(d.V.Transpose())
-}
-
 // ScaledU returns U · diag(S): each row is the corresponding row entity's
 // embedding in the latent space, scaled by the top singular values — the
 // representation LSI compares with cosine.

@@ -62,15 +62,6 @@ func (rt *Router) storeHealth(h *protocol.FleetHealth) {
 	}
 }
 
-// Health returns the most recent fleet-health observation — from the
-// background poller or the last /v1/healthz probe — or nil before the
-// first one.
-func (rt *Router) Health() *protocol.FleetHealth {
-	rt.healthMu.Lock()
-	defer rt.healthMu.Unlock()
-	return rt.lastHealth
-}
-
 // poll drives the background health loop until Close.
 func (rt *Router) poll() {
 	defer close(rt.done)

@@ -133,9 +133,6 @@ func (rt *Router) Close() {
 	<-rt.done
 }
 
-// Shards reports the fleet size.
-func (rt *Router) Shards() int { return len(rt.shards) }
-
 // owner returns the shard the map assigns a pair to.
 func (rt *Router) owner(pair wiki.LanguagePair) *shard {
 	return &rt.shards[ShardFor(pair, len(rt.shards))]

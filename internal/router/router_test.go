@@ -493,7 +493,7 @@ func TestHealthAndMetrics(t *testing.T) {
 	if health.Status != protocol.FleetOK || health.ShardsHealthy != 2 || health.ShardsTotal != 2 {
 		t.Fatalf("fleet health: %+v", health)
 	}
-	if h := f.rt.Health(); h == nil || h.Status != protocol.FleetOK {
+	if h := lastHealth(f.rt); h == nil || h.Status != protocol.FleetOK {
 		t.Error("router did not record the probed health")
 	}
 
@@ -513,18 +513,27 @@ func TestHealthAndMetrics(t *testing.T) {
 	}
 }
 
+// lastHealth returns the router's most recent fleet-health observation,
+// from the background poller or the last /v1/healthz probe, or nil
+// before the first one.
+func lastHealth(rt *Router) *protocol.FleetHealth {
+	rt.healthMu.Lock()
+	defer rt.healthMu.Unlock()
+	return rt.lastHealth
+}
+
 // TestHealthPoller: with a positive interval the background poller
 // records fleet health without any /v1/healthz request.
 func TestHealthPoller(t *testing.T) {
 	f := startFleet(t, 2, WithHealthInterval(20*time.Millisecond))
 	deadline := time.Now().Add(5 * time.Second)
-	for f.rt.Health() == nil {
+	for lastHealth(f.rt) == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("poller never recorded fleet health")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if h := f.rt.Health(); h.Status != protocol.FleetOK {
+	if h := lastHealth(f.rt); h.Status != protocol.FleetOK {
 		t.Errorf("polled status = %s", h.Status)
 	}
 }

@@ -15,11 +15,7 @@
 // the pair matcher and the audit of pre-merged clusters (fleetBatch).
 package router
 
-import (
-	"sort"
-
-	"repro/internal/wiki"
-)
+import "repro/internal/wiki"
 
 // fnv-1a 64-bit parameters (hash/fnv computes the same function; the
 // constants are inlined so the mapping is readably self-contained — the
@@ -65,22 +61,4 @@ func ShardFor(pair wiki.LanguagePair, count int) int {
 // router will send it.
 func Owned(index, count int) func(wiki.LanguagePair) bool {
 	return func(p wiki.LanguagePair) bool { return ShardFor(p, count) == index }
-}
-
-// PairsFor lists, sorted canonically, the pairs of a plan owned by each
-// shard: partition[i] holds shard i's slice. The router uses it for
-// logging and tests; the scatter-gather itself routes pair by pair.
-func PairsFor(pairs []wiki.LanguagePair, count int) [][]wiki.LanguagePair {
-	if count < 1 {
-		count = 1
-	}
-	partition := make([][]wiki.LanguagePair, count)
-	for _, p := range pairs {
-		i := ShardFor(p, count)
-		partition[i] = append(partition[i], p)
-	}
-	for _, slice := range partition {
-		sort.Slice(slice, func(i, j int) bool { return slice[i].String() < slice[j].String() })
-	}
-	return partition
 }

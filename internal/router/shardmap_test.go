@@ -75,7 +75,7 @@ func TestShardForHyphenatedCodes(t *testing.T) {
 }
 
 // TestOwnedPartition: across every shard, Owned covers each pair
-// exactly once, and PairsFor reproduces the same partition.
+// exactly once, on the shard ShardFor names.
 func TestOwnedPartition(t *testing.T) {
 	pairs := []wiki.LanguagePair{
 		{A: "pt", B: "en"}, {A: "vi", B: "en"}, {A: "pt", B: "vi"},
@@ -88,27 +88,17 @@ func TestOwnedPartition(t *testing.T) {
 	}
 	for _, p := range pairs {
 		n := 0
-		for _, owned := range owners {
+		for i, owned := range owners {
 			if owned(p) {
 				n++
+				if i != ShardFor(p, count) {
+					t.Errorf("pair %s owned by shard %d, ShardFor says %d", p, i, ShardFor(p, count))
+				}
 			}
 		}
 		if n != 1 {
 			t.Errorf("pair %s owned by %d shards, want exactly 1", p, n)
 		}
-	}
-	partition := PairsFor(pairs, count)
-	total := 0
-	for i, slice := range partition {
-		total += len(slice)
-		for _, p := range slice {
-			if ShardFor(p, count) != i {
-				t.Errorf("PairsFor put %s on shard %d, ShardFor says %d", p, i, ShardFor(p, count))
-			}
-		}
-	}
-	if total != len(pairs) {
-		t.Errorf("partition covers %d pairs, want %d", total, len(pairs))
 	}
 }
 
@@ -123,9 +113,12 @@ func TestShardMapSpread(t *testing.T) {
 			pairs = append(pairs, wiki.LanguagePair{A: wiki.Language(a), B: wiki.Language(b)})
 		}
 	}
-	partition := PairsFor(pairs, 3)
-	for i, slice := range partition {
-		if len(slice) == 0 {
+	owned := make([]int, 3)
+	for _, p := range pairs {
+		owned[ShardFor(p, 3)]++
+	}
+	for i, n := range owned {
+		if n == 0 {
 			t.Errorf("shard %d owns no pairs out of %d", i, len(pairs))
 		}
 	}

@@ -167,8 +167,8 @@ func TestOccurrencesAndCoOccurrence(t *testing.T) {
 	if td.CoOccurDual(dir, directed) != 2 {
 		t.Errorf("coDual(direção,directed by) = %d", td.CoOccurDual(dir, directed))
 	}
-	if td.NumInfoboxes(wiki.Portuguese) != 2 || td.NumInfoboxes(wiki.English) != 2 {
-		t.Errorf("box counts = %d / %d", td.NumInfoboxes(wiki.Portuguese), td.NumInfoboxes(wiki.English))
+	if td.nBoxes[wiki.Portuguese] != 2 || td.nBoxes[wiki.English] != 2 {
+		t.Errorf("box counts = %d / %d", td.nBoxes[wiki.Portuguese], td.nBoxes[wiki.English])
 	}
 	if len(td.Duals) != 2 {
 		t.Errorf("duals = %d", len(td.Duals))

@@ -229,13 +229,7 @@ func CanonicalLinkKey(c *wiki.Corpus, lang wiki.Language, target string) string 
 	if lang == wiki.English {
 		return "en:" + text.Normalize(target)
 	}
-	if art, ok := c.Get(lang, target); ok {
-		if enTitle, ok := art.CrossLink(wiki.English); ok {
-			return "en:" + text.Normalize(enTitle)
-		}
-	}
-	// The link may be recorded only on the English side.
-	if enTitle, ok := c.ReverseCrossLink(lang, target, wiki.English); ok {
+	if enTitle, ok := c.CrossTitle(lang, target, wiki.English); ok {
 		return "en:" + text.Normalize(enTitle)
 	}
 	return "en:" + text.Normalize(target)
@@ -252,9 +246,6 @@ func (td *TypeData) AttrIndex(a Attr) int {
 // Occurrences returns how many infoboxes of the attribute's language
 // contain it.
 func (td *TypeData) Occurrences(i int) int { return td.occ[i] }
-
-// NumInfoboxes returns the number of infoboxes on a language side.
-func (td *TypeData) NumInfoboxes(lang wiki.Language) int { return td.nBoxes[lang] }
 
 // CoOccurLang returns how many single-language infoboxes contain both
 // attributes (0 for attributes of different languages).

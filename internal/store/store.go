@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"time"
 
@@ -172,14 +171,4 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, &CorruptError{Section: "config", Err: fmt.Errorf("missing config section")}
 	}
 	return snap, nil
-}
-
-// ReadFile loads and verifies a snapshot file.
-func ReadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

@@ -279,8 +279,8 @@ func TestWriteFileAtomic(t *testing.T) {
 	if !bytes.Equal(got, raw) {
 		t.Error("file contents differ from direct Write output")
 	}
-	if _, err := ReadFile(path); err != nil {
-		t.Fatalf("ReadFile: %v", err)
+	if _, err := Read(bytes.NewReader(got)); err != nil {
+		t.Fatalf("Read: %v", err)
 	}
 
 	// Overwriting an existing snapshot must also succeed (rename over).

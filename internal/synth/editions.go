@@ -87,20 +87,6 @@ type EditionsTruth struct {
 	AttrCanon map[wiki.Language]map[string]map[string]string
 }
 
-// Canon resolves a localized (type, attribute) surface pair to its
-// canonical ids.
-func (t *EditionsTruth) Canon(lang wiki.Language, typ, attr string) (canonType, canonAttr string, ok bool) {
-	ct, ok := t.TypeName[lang][typ]
-	if !ok {
-		return "", "", false
-	}
-	ca, ok := t.AttrCanon[lang][typ][attr]
-	if !ok {
-		return "", "", false
-	}
-	return ct, ca, true
-}
-
 // editionsAnchors is how many attributes per type carry identical
 // values in every edition (the certain matches); the rest agree only
 // partially, like real dumps.

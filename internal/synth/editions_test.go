@@ -75,7 +75,7 @@ func TestEditionsShape(t *testing.T) {
 				t.Fatalf("%s:%s type %q missing from truth", l, a.Title, a.Type)
 			}
 			for _, av := range a.Infobox.Attrs {
-				if _, _, ok := truth.Canon(l, a.Type, av.Name); !ok {
+				if _, ok := truth.AttrCanon[l][a.Type][av.Name]; !ok {
 					t.Fatalf("%s:%s attr %q missing from truth", l, a.Title, av.Name)
 				}
 			}

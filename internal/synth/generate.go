@@ -853,9 +853,10 @@ func (g *generator) renderArticle(spec *TypeSpec, e *Entity, lang wiki.Language,
 		Title:    e.Titles[lang],
 		Type:     spec.TypeName(lang),
 		Infobox:  ib,
-		// The localized type doubles as a category, so category-based
-		// type assignment (wiki.AssignTypesFromCategories) has material
-		// to work with — the paper's Section 2 alternative mechanism.
+		// The localized type doubles as a category. Nothing types by
+		// categories (ingest types by template, ontology and attribute
+		// profile), but they are still rendered into wikitext and hashed
+		// into the corpus fingerprint, so every fixture depends on them.
 		Categories: []string{spec.TypeName(lang)},
 	}
 }

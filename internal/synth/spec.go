@@ -176,20 +176,3 @@ func (t *TypeSpec) attr(canon string) *AttrSpec {
 	}
 	return nil
 }
-
-// CategoryTypes returns the category → entity-type mapping matching the
-// categories the generator emits, for use with
-// wiki.Corpus.AssignTypesFromCategories.
-func CategoryTypes() wiki.CategoryTypeMap {
-	m := wiki.CategoryTypeMap{}
-	for _, spec := range TypeSpecs() {
-		for lang := range spec.Template {
-			if m[lang] == nil {
-				m[lang] = map[string]string{}
-			}
-			typeName := wiki.TemplateType(spec.Template[lang])
-			m[lang][typeName] = typeName
-		}
-	}
-	return m
-}

@@ -218,8 +218,8 @@ func TestJaccardTokens(t *testing.T) {
 
 func TestTFCosine(t *testing.T) {
 	// Paper Example 1: translated nascimento vector vs born vector.
-	va := NewTF([]string{"1963", "Ireland", "December 18 1950", "United States"})
-	vb := NewTF([]string{"1963", "Ireland", "June 4 1975", "United States", "United States"})
+	va := TF{"1963": 1, "Ireland": 1, "December 18 1950": 1, "United States": 1}
+	vb := TF{"1963": 1, "Ireland": 1, "June 4 1975": 1, "United States": 2}
 	got := va.Cosine(vb)
 	// dot = 1 + 1 + 2 = 4; |va| = 2; |vb| = sqrt(1+1+1+4) = sqrt(7)
 	want := 4 / (2 * math.Sqrt(7))
@@ -234,7 +234,7 @@ func TestTFCosine(t *testing.T) {
 func TestTFCosineProperties(t *testing.T) {
 	type pair struct{ A, B []string }
 	prop := func(p pair) bool {
-		va, vb := NewTF(p.A), NewTF(p.B)
+		va, vb := termsTF(p.A), termsTF(p.B)
 		c1, c2 := va.Cosine(vb), vb.Cosine(va)
 		if math.Abs(c1-c2) > 1e-12 {
 			return false
@@ -245,7 +245,7 @@ func TestTFCosineProperties(t *testing.T) {
 		t.Errorf("cosine properties: %v", err)
 	}
 	selfOne := func(terms []string) bool {
-		v := NewTF(terms)
+		v := termsTF(terms)
 		if len(v) == 0 {
 			return v.Cosine(v) == 0
 		}
@@ -257,9 +257,9 @@ func TestTFCosineProperties(t *testing.T) {
 }
 
 func TestTFOps(t *testing.T) {
-	v := NewTF([]string{"a", "b", "a", ""})
+	v := termsTF([]string{"a", "b", "a", ""})
 	if v["a"] != 2 || v["b"] != 1 {
-		t.Errorf("NewTF = %v", v)
+		t.Errorf("Add counts = %v", v)
 	}
 	if _, ok := v[""]; ok {
 		t.Error("empty term stored")
@@ -269,18 +269,13 @@ func TestTFOps(t *testing.T) {
 	if v["c"] != 3 || len(v) != 3 {
 		t.Errorf("Add = %v", v)
 	}
-	cp := v.Clone()
-	cp.Add("a", 10)
-	if v["a"] != 2 {
-		t.Error("Clone not independent")
+}
+
+// termsTF counts terms into a TF vector, one Add per term.
+func termsTF(terms []string) TF {
+	v := TF{}
+	for _, term := range terms {
+		v.Add(term, 1)
 	}
-	w := NewTF([]string{"a", "d"})
-	v.Merge(w)
-	if v["a"] != 3 || v["d"] != 1 {
-		t.Errorf("Merge = %v", v)
-	}
-	top := v.Top(2)
-	if len(top) != 2 || top[0] != "a" || top[1] != "c" {
-		t.Errorf("Top = %v", top)
-	}
+	return v
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"time"
 	"unicode"
 )
 
@@ -245,9 +246,11 @@ func parseDate(norm string) (NormalizedValue, bool) {
 }
 
 // date validates a year, month and day; any of them is -1 when its field
-// did not read as a number.
+// did not read as a number. The day must exist in its month of the
+// Gregorian calendar: day 0 of the next month is the month's last day.
 func date(y, m, d int) (NormalizedValue, bool) {
-	if y < 1 || y > 9999 || m < 1 || m > 12 || d < 1 || d > 31 {
+	if y < 1 || y > 9999 || m < 1 || m > 12 || d < 1 ||
+		d > time.Date(y, time.Month(m)+1, 0, 0, 0, 0, 0, time.UTC).Day() {
 		return NormalizedValue{}, false
 	}
 	return NormalizedValue{Kind: ValueDate, Year: y, Month: m, Day: d}, true

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNormalizeValueDates(t *testing.T) {
@@ -40,7 +41,7 @@ func TestNormalizeValueDates(t *testing.T) {
 }
 
 func TestNormalizeValueNotDates(t *testing.T) {
-	for _, in := range []string{"1950-13-18", "1950-12-32", "32 de dezembro de 1950", "978-0-123-45678-9", "0000-01-01"} {
+	for _, in := range []string{"1950-13-18", "1950-12-32", "32 de dezembro de 1950", "978-0-123-45678-9", "0000-01-01", "February 31, 1950"} {
 		if v := NormalizeValue(in); v.Kind == ValueDate {
 			t.Errorf("NormalizeValue(%q) parsed as date %+v", in, v)
 		}
@@ -206,6 +207,11 @@ func TestParseDate(t *testing.T) {
 		{"December 40, 1950", "", false},
 		{"0 de dezembro de 1950", "", false},
 		{"160 minutes", "", false},
+		{"February 31, 1950", "", false},
+		{"31 de abril de 2001", "", false},
+		{"29 de fevereiro de 2000", "2000-02-29", true},
+		{"29 de fevereiro de 1900", "", false},
+		{"29 tháng 2 2024", "2024-02-29", true},
 	}
 	for _, c := range cases {
 		v, ok := ParseDate(c.in)
@@ -348,8 +354,10 @@ func fieldDateOracle(s string) (string, bool) {
 }
 
 // FuzzParseDate requires ParseDate to accept every input either oracle
-// accepts, with the same ISO date (the field oracle's where the two
-// disagree), and ValueAtoms to return only trimmed, non-empty atoms.
+// accepts with a date that exists, giving the same ISO date (the field
+// oracle's where the two disagree), to reject every input whose oracle
+// date does not exist (February 30), and ValueAtoms to return only
+// trimmed, non-empty atoms.
 func FuzzParseDate(f *testing.F) {
 	for _, s := range []string{
 		"December 18, 1950", "December 18 1950", "18 de dezembro de 1950",
@@ -357,6 +365,7 @@ func FuzzParseDate(f *testing.F) {
 		"June 4 1975", "4 de junho de 1975", "just words", "1963",
 		"December 40, 1950", "0 de dezembro de 1950", "160 minutes",
 		"1950-12-18", "December 18, 50", "Los Angeles (California, USA), 1,234",
+		"February 30, 2001",
 	} {
 		f.Add(s)
 	}
@@ -366,8 +375,16 @@ func FuzzParseDate(f *testing.F) {
 		if !wantOK {
 			want, wantOK = tokenDateOracle(s)
 		}
-		if wantOK && (!ok || v.Canonical() != want) {
-			t.Fatalf("ParseDate(%q) = %q, %v; oracle %q", s, v.Canonical(), ok, want)
+		if wantOK {
+			// The oracles check days against 31 only; a day its month
+			// lacks is no date.
+			if _, err := time.Parse(time.DateOnly, want); err != nil {
+				if ok {
+					t.Fatalf("ParseDate(%q) = %q; oracle's %q does not exist", s, v.Canonical(), want)
+				}
+			} else if !ok || v.Canonical() != want {
+				t.Fatalf("ParseDate(%q) = %q, %v; oracle %q", s, v.Canonical(), ok, want)
+			}
 		}
 		for _, a := range ValueAtoms(s) {
 			if a == "" || a != strings.TrimSpace(a) {

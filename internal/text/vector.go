@@ -1,26 +1,12 @@
 package text
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // TF is a sparse term-frequency vector: term → raw frequency. The paper's
 // value-similarity measure (vsim) is the cosine between two TF vectors
 // whose terms are whole attribute values (after dictionary translation);
 // the link-structure measure (lsim) uses TF vectors over link targets.
 type TF map[string]float64
-
-// NewTF builds a TF vector from a list of terms, counting occurrences.
-func NewTF(terms []string) TF {
-	v := make(TF, len(terms))
-	for _, t := range terms {
-		if t != "" {
-			v[t]++
-		}
-	}
-	return v
-}
 
 // Add increments the frequency of term by w.
 func (v TF) Add(term string, w float64) {
@@ -69,39 +55,4 @@ func (v TF) Cosine(w TF) float64 {
 		c = 0
 	}
 	return c
-}
-
-// Clone returns a copy of the vector.
-func (v TF) Clone() TF {
-	cp := make(TF, len(v))
-	for t, f := range v {
-		cp[t] = f
-	}
-	return cp
-}
-
-// Merge adds all of w's frequencies into v.
-func (v TF) Merge(w TF) {
-	for t, f := range w {
-		v[t] += f
-	}
-}
-
-// Top returns the k highest-frequency terms (ties broken alphabetically),
-// useful for inspection and examples.
-func (v TF) Top(k int) []string {
-	terms := make([]string, 0, len(v))
-	for t := range v {
-		terms = append(terms, t)
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		if v[terms[i]] != v[terms[j]] {
-			return v[terms[i]] > v[terms[j]]
-		}
-		return terms[i] < terms[j]
-	})
-	if k < len(terms) {
-		terms = terms[:k]
-	}
-	return terms
 }

@@ -69,15 +69,6 @@ func TestLanguagePairHelpers(t *testing.T) {
 	if PtEn.String() != "pt-en" {
 		t.Errorf("String = %q", PtEn.String())
 	}
-	if PtEn.Reverse() != (LanguagePair{A: English, B: Portuguese}) {
-		t.Errorf("Reverse = %v", PtEn.Reverse())
-	}
-	if !PtEn.Contains(English) || PtEn.Contains(Vietnamese) {
-		t.Error("Contains wrong")
-	}
-	if PtEn.Other(Portuguese) != English || PtEn.Other(Vietnamese) != "" {
-		t.Error("Other wrong")
-	}
 }
 
 func TestRenderValueWithDanglingAnchor(t *testing.T) {

@@ -177,19 +177,17 @@ func (c *Corpus) Pairs(pair LanguagePair) []ArticlePair {
 	return out
 }
 
-// CrossLinked reports whether articles a and b (in different languages)
-// are connected by a cross-language link in either direction.
-func (c *Corpus) CrossLinked(a, b *Article) bool {
-	if a == nil || b == nil || a.Language == b.Language {
-		return false
+// CrossTitle follows cross-language links from the article titled title
+// in lang to its title in other: the article's own link first, then a
+// link recorded only on the other edition's side. The article need not
+// exist for the reverse link to resolve.
+func (c *Corpus) CrossTitle(lang Language, title string, other Language) (string, bool) {
+	if a, ok := c.Get(lang, title); ok {
+		if x, ok := a.CrossLink(other); ok {
+			return x, true
+		}
 	}
-	if t, ok := a.CrossLink(b.Language); ok && t == b.Title {
-		return true
-	}
-	if t, ok := b.CrossLink(a.Language); ok && t == a.Title {
-		return true
-	}
-	return false
+	return c.ReverseCrossLink(lang, title, other)
 }
 
 // TypePairCount tallies, for every (type in pair.A, type in pair.B)

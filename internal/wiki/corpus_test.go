@@ -83,8 +83,11 @@ func TestCorpusPairsBothDirections(t *testing.T) {
 		if p.A.Language != Portuguese || p.B.Language != English {
 			t.Errorf("pair orientation wrong: %s / %s", p.A.Key(), p.B.Key())
 		}
-		if !c.CrossLinked(p.A, p.B) || !c.CrossLinked(p.B, p.A) {
-			t.Errorf("CrossLinked false for paired articles %s / %s", p.A.Key(), p.B.Key())
+		if x, ok := c.CrossTitle(p.A.Language, p.A.Title, p.B.Language); !ok || x != p.B.Title {
+			t.Errorf("CrossTitle(%s) = %q, %v, want %q", p.A.Key(), x, ok, p.B.Title)
+		}
+		if x, ok := c.CrossTitle(p.B.Language, p.B.Title, p.A.Language); !ok || x != p.A.Title {
+			t.Errorf("CrossTitle(%s) = %q, %v, want %q", p.B.Key(), x, ok, p.A.Title)
 		}
 	}
 }
@@ -95,14 +98,14 @@ func TestCrossLinkedNegativeCases(t *testing.T) {
 	b := film(Portuguese, "B")
 	c.MustAdd(a)
 	c.MustAdd(b)
-	if c.CrossLinked(a, b) {
-		t.Error("unlinked articles reported linked")
+	if x, ok := c.CrossTitle(English, a.Title, Portuguese); ok {
+		t.Errorf("unlinked article crosses to %q", x)
 	}
-	if c.CrossLinked(a, a) {
-		t.Error("same article reported linked")
+	if x, ok := c.CrossTitle(English, a.Title, English); ok {
+		t.Errorf("article crosses into its own language as %q", x)
 	}
-	if c.CrossLinked(nil, b) {
-		t.Error("nil article reported linked")
+	if x, ok := c.CrossTitle(English, "Missing", Portuguese); ok {
+		t.Errorf("missing article crosses to %q", x)
 	}
 }
 

@@ -75,24 +75,6 @@ func (p LanguagePair) String() string {
 	return fmt.Sprintf("%s-%s", p.A, p.B)
 }
 
-// Reverse returns the pair with the two languages swapped.
-func (p LanguagePair) Reverse() LanguagePair { return LanguagePair{A: p.B, B: p.A} }
-
-// Contains reports whether l is one of the pair's languages.
-func (p LanguagePair) Contains(l Language) bool { return p.A == l || p.B == l }
-
-// Other returns the pair's other language given one of them; it returns
-// the empty Language if l is not part of the pair.
-func (p LanguagePair) Other(l Language) Language {
-	switch l {
-	case p.A:
-		return p.B
-	case p.B:
-		return p.A
-	}
-	return ""
-}
-
 // PtEn and VnEn are the two language pairs evaluated in the paper.
 var (
 	PtEn = LanguagePair{A: Portuguese, B: English}
